@@ -3,8 +3,8 @@
 //!
 //! Every workload runs twice — pinned to one thread via
 //! `rayon::with_threads(1, ..)` and on the ambient pool — under names
-//! `<workload>/serial` and `<workload>/parallel`, so
-//! `scripts/bench_smoke.sh` can pair the JSON lines and report speedups.
+//! `<workload>/serial` and `<workload>/parallel`; their ratio is the
+//! speedup.
 //! On a single-core machine the two run the *identical* code path (the
 //! ambient pool resolves to one thread), so any measured "speedup" away
 //! from 1× — in either direction — is pure timer noise, not a regression;

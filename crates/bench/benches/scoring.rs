@@ -5,8 +5,8 @@
 //! speedups isolate the *algorithmic* win (cached `V = F·E` embeddings plus
 //! cache-blocked GEMM) from thread-level parallelism; results are bitwise
 //! identical between the paths, so the comparison is exact like-for-like.
-//! `scripts/bench_smoke.sh` aggregates the `<workload>/pointwise` vs
-//! `<workload>/engine` pairs into `BENCH_scoring.json`.
+//! Each workload runs as a `<workload>/pointwise` vs `<workload>/engine`
+//! pair; their ratio is the engine's speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -76,251 +76,166 @@ use serde::{Deserialize, Serialize};
 /// `serve_snapshot_writes`). v6 added the attack-suite counters
 /// (`attack_queries`, `attack_oracle_cache_hits`, `embed_attack_steps`),
 /// all thread-invariant. v7 added the sharded-scoring counters
-/// (`scoring_shards`, `quantized_score_blocks`), both thread-invariant —
-/// shard and block patterns are pure functions of the shard plan. v8 added
-/// the serving hot-path counters (`serve_cache_hits`, `serve_cache_misses`,
-/// `serve_cache_evictions`, `serve_coalesced_batches`,
+/// (`scoring_shards` and an i8-path score-block counter), both
+/// thread-invariant — shard and block patterns are pure functions of the
+/// shard plan. v8 added the serving hot-path counters (`serve_cache_hits`,
+/// `serve_cache_misses`, `serve_cache_evictions`, `serve_coalesced_batches`,
 /// `serve_coalesced_requests`), all scheduling-dependent like the rest of
 /// the serve accountant family — hit rates and batch shapes depend on
-/// request arrival timing.
-pub const TELEMETRY_SCHEMA: u32 = 8;
+/// request arrival timing. v9 removed the i8-path score-block counter
+/// together with the i8 scoring path it counted.
+pub const TELEMETRY_SCHEMA: u32 = 9;
 
-/// The process-wide monotonic counters.
-///
-/// Every variant is a semantic event whose multiplicity is pinned by the
-/// deterministic parallel contract, so counts are invariant under the thread
-/// count (see the crate docs). The discriminant indexes the backing atomic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`], [`COUNTERS`], [`Counter::name`] and
+/// [`Counter::thread_invariant`] from one table, so the four cannot drift
+/// apart. Each row is `Variant => "snake_case_name", invariant: bool;`, in
+/// export order; `invariant` says whether the count is pinned by the
+/// deterministic parallel contract (see the crate docs carve-outs).
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $name:literal, invariant: $invariant:literal;)+) => {
+        /// The process-wide monotonic counters.
+        ///
+        /// Every variant is a semantic event whose multiplicity is pinned by
+        /// the deterministic parallel contract, so counts are invariant under
+        /// the thread count (see the crate docs). The discriminant indexes the
+        /// backing atomic.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        /// All counters, in export order.
+        pub const COUNTERS: [Counter; [$(Counter::$variant),+].len()] = [$(Counter::$variant),+];
+
+        impl Counter {
+            /// The stable snake_case name used in `telemetry.json`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+
+            /// Whether this counter's value is pinned by the deterministic
+            /// parallel contract (`true` for every semantic event counter), or
+            /// may legitimately differ across runs at different thread counts
+            /// (`false`): the scratch allocator-health counters reflect
+            /// per-thread memory behaviour, and the serving accountant counters
+            /// reflect external load and wall-clock effects (timeouts, queue
+            /// pressure, crash recovery).
+            pub fn thread_invariant(self) -> bool {
+                match self {
+                    $(Counter::$variant => $invariant,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// General matrix-matrix multiplications entering `taamr_tensor::gemm`.
-    GemmCalls,
+    GemmCalls => "gemm_calls", invariant: true;
     /// `im2col` buffer materialisations in the convolution lowering.
-    Im2colCalls,
+    Im2colCalls => "im2col_calls", invariant: true;
     /// `col2im` scatter passes in the convolution backward lowering.
-    Col2imCalls,
+    Col2imCalls => "col2im_calls", invariant: true;
     /// Triplets drawn by the BPR `TripletSampler` (one per (u, i, j) draw).
-    SamplerDraws,
+    SamplerDraws => "sampler_draws", invariant: true;
     /// Gradient steps taken inside iterative attacks (FGSM counts 1).
-    AttackGradSteps,
+    AttackGradSteps => "attack_grad_steps", invariant: true;
     /// Items perturbed by an attack batch (one per attacked image).
-    AttackItems,
+    AttackItems => "attack_items", invariant: true;
     /// Stage or cell checkpoints restored from a valid file.
-    CheckpointHits,
+    CheckpointHits => "checkpoint_hits", invariant: true;
     /// Stage or cell checkpoints that were absent or invalid and re-ran.
-    CheckpointMisses,
+    CheckpointMisses => "checkpoint_misses", invariant: true;
     /// Dataset reports served from the on-disk report cache.
-    ReportCacheHits,
+    ReportCacheHits => "report_cache_hits", invariant: true;
     /// Dataset reports recomputed because no valid cache entry existed.
-    ReportCacheMisses,
+    ReportCacheMisses => "report_cache_misses", invariant: true;
     /// CNN training epochs rolled back by the divergence guard.
-    CnnRollbacks,
+    CnnRollbacks => "cnn_rollbacks", invariant: true;
     /// Pairwise (VBPR/AMR) epochs rolled back by the divergence guard.
-    PairwiseRollbacks,
+    PairwiseRollbacks => "pairwise_rollbacks", invariant: true;
     /// CNN training epochs completed (retries included).
-    CnnEpochs,
+    CnnEpochs => "cnn_epochs", invariant: true;
     /// Pairwise (VBPR/AMR) training epochs completed (retries included).
-    PairwiseEpochs,
+    PairwiseEpochs => "pairwise_epochs", invariant: true;
     /// Operand panels packed by the GEMM kernel, counted as the canonical
     /// serial schedule's pack count at the `gemm` entry point (so the value
     /// is thread-invariant even though parallel tasks re-pack B slivers).
-    GemmPanelPacks,
+    GemmPanelPacks => "gemm_panel_packs", invariant: true;
     /// Scratch-arena requests satisfied by an existing allocation.
     /// Scheduling-dependent — see the crate docs carve-out.
-    ScratchReuseHits,
+    ScratchReuseHits => "scratch_reuse_hits", invariant: false;
     /// Scratch-arena requests that had to grow the allocation.
     /// Scheduling-dependent — see the crate docs carve-out.
-    ScratchGrows,
+    ScratchGrows => "scratch_grows", invariant: false;
     /// GEMMs issued by the recsys scoring engine (batched score blocks and
     /// item-embedding cache rebuilds). Counted at the engine entry points
     /// with a fixed user-block size, so the value is thread-invariant.
-    ScoringGemmCalls,
+    ScoringGemmCalls => "scoring_gemm_calls", invariant: true;
     /// Scoring-engine `ensure` calls satisfied by a fresh item-embedding
     /// cache (model version unchanged since the last rebuild).
-    EmbedCacheHits,
+    EmbedCacheHits => "embed_cache_hits", invariant: true;
     /// Scoring-engine item-embedding cache (re)builds: first use, or the
     /// model's scoring version moved (training step / feature swap).
-    EmbedCacheRebuilds,
+    EmbedCacheRebuilds => "embed_cache_rebuilds", invariant: true;
     /// Pipeline-level commands captured by an installed replay recorder.
-    ReplayCommands,
+    ReplayCommands => "replay_commands", invariant: true;
     /// Experiment record files written (atomic header+payload saves).
-    ReplayRecordWrites,
+    ReplayRecordWrites => "replay_record_writes", invariant: true;
     /// Experiment record files read and fully validated.
-    ReplayRecordReads,
+    ReplayRecordReads => "replay_record_reads", invariant: true;
     /// Recommendation requests accepted by the serving layer (after load
     /// shedding). Driven by external load — see the serve carve-out in the
     /// crate docs.
-    ServeRequests,
+    ServeRequests => "serve_requests", invariant: false;
     /// Serving requests answered with a recommendation list.
-    ServeOk,
+    ServeOk => "serve_ok", invariant: false;
     /// Serving requests that hit their deadline and were answered with a
     /// typed timeout instead of hanging.
-    ServeTimeouts,
+    ServeTimeouts => "serve_timeouts", invariant: false;
     /// Connections rejected with 429 because the request queue was full.
-    ServeSheds,
+    ServeSheds => "serve_sheds", invariant: false;
     /// Request retries after an actor crash (deterministic backoff path).
-    ServeRetries,
+    ServeRetries => "serve_retries", invariant: false;
     /// Actor restarts performed by the supervisor (crash recovery).
-    ServeRestarts,
+    ServeRestarts => "serve_restarts", invariant: false;
     /// Zero-downtime model swaps completed by the supervisor.
-    ServeSwaps,
+    ServeSwaps => "serve_swaps", invariant: false;
     /// Actor-state snapshots written to the serving snapshot store.
-    ServeSnapshotWrites,
+    ServeSnapshotWrites => "serve_snapshot_writes", invariant: false;
     /// Score-oracle queries debited against a black-box attacker's query
     /// ledger (cache hits are free and counted separately). Counted per
     /// (item, query) at the oracle entry point, so the value is
     /// thread-invariant.
-    AttackQueries,
+    AttackQueries => "attack_queries", invariant: true;
     /// Score-oracle queries answered from the per-item memo cache without
     /// touching the ledger (e.g. the attacker's final validation re-query).
-    AttackOracleCacheHits,
+    AttackOracleCacheHits => "attack_oracle_cache_hits", invariant: true;
     /// Gradient steps taken by embedding-space attackers, counted per
     /// attacked item at the attack entry point.
-    EmbedAttackSteps,
+    EmbedAttackSteps => "embed_attack_steps", invariant: true;
     /// User shards streamed by the recsys sharded scoring driver (one per
     /// shard of a `par_top_n_all` / `par_item_ranks` call). Shard boundaries
     /// are a pure function of the `ShardPlan`, so the value is
     /// thread-invariant.
-    ScoringShards,
-    /// Score blocks computed through the opt-in i8-quantized scoring path.
-    /// The block pattern is fixed by the shard plan, so the value is
-    /// thread-invariant.
-    QuantizedScoreBlocks,
+    ScoringShards => "scoring_shards", invariant: true;
     /// `/recommend` requests answered from an actor's version-keyed top-N
     /// result cache. Driven by request timing — see the serve carve-out.
-    ServeCacheHits,
+    ServeCacheHits => "serve_cache_hits", invariant: false;
     /// `/recommend` requests that missed the top-N result cache (absent
     /// entry or version-stale entry) and were recomputed.
-    ServeCacheMisses,
+    ServeCacheMisses => "serve_cache_misses", invariant: false;
     /// Top-N cache entries evicted by the LRU capacity bound.
-    ServeCacheEvictions,
+    ServeCacheEvictions => "serve_cache_evictions", invariant: false;
     /// Coalesced scoring batches drained by actors (only batches that
     /// merged two or more requests are counted).
-    ServeCoalescedBatches,
+    ServeCoalescedBatches => "serve_coalesced_batches", invariant: false;
     /// Requests answered as part of a coalesced batch (the sum of the
     /// sizes of the batches counted by `serve_coalesced_batches`).
-    ServeCoalescedRequests,
-}
-
-/// All counters, in export order.
-pub const COUNTERS: [Counter; 41] = [
-    Counter::GemmCalls,
-    Counter::Im2colCalls,
-    Counter::Col2imCalls,
-    Counter::SamplerDraws,
-    Counter::AttackGradSteps,
-    Counter::AttackItems,
-    Counter::CheckpointHits,
-    Counter::CheckpointMisses,
-    Counter::ReportCacheHits,
-    Counter::ReportCacheMisses,
-    Counter::CnnRollbacks,
-    Counter::PairwiseRollbacks,
-    Counter::CnnEpochs,
-    Counter::PairwiseEpochs,
-    Counter::GemmPanelPacks,
-    Counter::ScratchReuseHits,
-    Counter::ScratchGrows,
-    Counter::ScoringGemmCalls,
-    Counter::EmbedCacheHits,
-    Counter::EmbedCacheRebuilds,
-    Counter::ReplayCommands,
-    Counter::ReplayRecordWrites,
-    Counter::ReplayRecordReads,
-    Counter::ServeRequests,
-    Counter::ServeOk,
-    Counter::ServeTimeouts,
-    Counter::ServeSheds,
-    Counter::ServeRetries,
-    Counter::ServeRestarts,
-    Counter::ServeSwaps,
-    Counter::ServeSnapshotWrites,
-    Counter::AttackQueries,
-    Counter::AttackOracleCacheHits,
-    Counter::EmbedAttackSteps,
-    Counter::ScoringShards,
-    Counter::QuantizedScoreBlocks,
-    Counter::ServeCacheHits,
-    Counter::ServeCacheMisses,
-    Counter::ServeCacheEvictions,
-    Counter::ServeCoalescedBatches,
-    Counter::ServeCoalescedRequests,
-];
-
-impl Counter {
-    /// The stable snake_case name used in `telemetry.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::GemmCalls => "gemm_calls",
-            Counter::Im2colCalls => "im2col_calls",
-            Counter::Col2imCalls => "col2im_calls",
-            Counter::SamplerDraws => "sampler_draws",
-            Counter::AttackGradSteps => "attack_grad_steps",
-            Counter::AttackItems => "attack_items",
-            Counter::CheckpointHits => "checkpoint_hits",
-            Counter::CheckpointMisses => "checkpoint_misses",
-            Counter::ReportCacheHits => "report_cache_hits",
-            Counter::ReportCacheMisses => "report_cache_misses",
-            Counter::CnnRollbacks => "cnn_rollbacks",
-            Counter::PairwiseRollbacks => "pairwise_rollbacks",
-            Counter::CnnEpochs => "cnn_epochs",
-            Counter::PairwiseEpochs => "pairwise_epochs",
-            Counter::GemmPanelPacks => "gemm_panel_packs",
-            Counter::ScratchReuseHits => "scratch_reuse_hits",
-            Counter::ScratchGrows => "scratch_grows",
-            Counter::ScoringGemmCalls => "scoring_gemm_calls",
-            Counter::EmbedCacheHits => "embed_cache_hits",
-            Counter::EmbedCacheRebuilds => "embed_cache_rebuilds",
-            Counter::ReplayCommands => "replay_commands",
-            Counter::ReplayRecordWrites => "replay_record_writes",
-            Counter::ReplayRecordReads => "replay_record_reads",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeOk => "serve_ok",
-            Counter::ServeTimeouts => "serve_timeouts",
-            Counter::ServeSheds => "serve_sheds",
-            Counter::ServeRetries => "serve_retries",
-            Counter::ServeRestarts => "serve_restarts",
-            Counter::ServeSwaps => "serve_swaps",
-            Counter::ServeSnapshotWrites => "serve_snapshot_writes",
-            Counter::AttackQueries => "attack_queries",
-            Counter::AttackOracleCacheHits => "attack_oracle_cache_hits",
-            Counter::EmbedAttackSteps => "embed_attack_steps",
-            Counter::ScoringShards => "scoring_shards",
-            Counter::QuantizedScoreBlocks => "quantized_score_blocks",
-            Counter::ServeCacheHits => "serve_cache_hits",
-            Counter::ServeCacheMisses => "serve_cache_misses",
-            Counter::ServeCacheEvictions => "serve_cache_evictions",
-            Counter::ServeCoalescedBatches => "serve_coalesced_batches",
-            Counter::ServeCoalescedRequests => "serve_coalesced_requests",
-        }
-    }
-
-    /// Whether this counter's value is pinned by the deterministic parallel
-    /// contract (`true` for every semantic event counter), or may
-    /// legitimately differ across runs at different thread counts (`false`):
-    /// the scratch allocator-health counters reflect per-thread memory
-    /// behaviour, and the serving accountant counters reflect external load
-    /// and wall-clock effects (timeouts, queue pressure, crash recovery).
-    pub fn thread_invariant(self) -> bool {
-        !matches!(
-            self,
-            Counter::ScratchReuseHits
-                | Counter::ScratchGrows
-                | Counter::ServeRequests
-                | Counter::ServeOk
-                | Counter::ServeTimeouts
-                | Counter::ServeSheds
-                | Counter::ServeRetries
-                | Counter::ServeRestarts
-                | Counter::ServeSwaps
-                | Counter::ServeSnapshotWrites
-                | Counter::ServeCacheHits
-                | Counter::ServeCacheMisses
-                | Counter::ServeCacheEvictions
-                | Counter::ServeCoalescedBatches
-                | Counter::ServeCoalescedRequests
-        )
-    }
+    ServeCoalescedRequests => "serve_coalesced_requests", invariant: false;
 }
 
 const N_COUNTERS: usize = COUNTERS.len();
@@ -682,6 +597,22 @@ mod tests {
         assert_eq!(Counter::ServeCacheEvictions.name(), "serve_cache_evictions");
         assert_eq!(Counter::ServeCoalescedBatches.name(), "serve_coalesced_batches");
         assert_eq!(Counter::ServeCoalescedRequests.name(), "serve_coalesced_requests");
+    }
+
+    #[test]
+    fn counter_names_are_unique_snake_case() {
+        let mut names: Vec<_> = COUNTERS.iter().map(|c| c.name()).collect();
+        for name in &names {
+            let snake = !name.is_empty()
+                && name.starts_with(|c: char| c.is_ascii_lowercase())
+                && !name.ends_with('_')
+                && !name.contains("__")
+                && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            assert!(snake, "counter name {name:?} is not snake_case");
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COUNTERS.len(), "counter names must be unique");
     }
 
     #[test]

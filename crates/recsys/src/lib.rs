@@ -44,7 +44,6 @@ mod amr;
 mod bpr;
 mod oracle;
 mod popularity;
-mod quant;
 mod recommend;
 mod scoring;
 mod shard;
@@ -55,7 +54,6 @@ pub use amr::{Amr, AmrConfig};
 pub use oracle::{ItemScoreOracle, QueryBudgetExceeded, QueryLedger};
 pub use bpr::BprMf;
 pub use popularity::Popularity;
-pub use quant::{top_n_overlap, QuantizedPlan};
 pub use recommend::{
     item_rank, item_rank_with, par_top_n_all, top_n_indices, top_n_with, SelectionScratch,
 };

@@ -82,15 +82,15 @@ pub(crate) fn scoring_gemm(
 /// [`Recommender::user_term_rows`](crate::Recommender::user_term_rows))
 /// against a cached `num_items × dim` item-side matrix.
 #[derive(Debug, Clone)]
-pub(crate) struct PlanTerm {
+struct PlanTerm {
     /// Latent dimension of this pathway.
-    pub(crate) dim: usize,
+    dim: usize,
     /// Item-side factors, row-major `num_items × dim`.
-    pub(crate) items: Tensor,
+    items: Tensor,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum PlanKind {
+enum PlanKind {
     /// `S = static + Σ_t U_t · I_tᵀ` via GEMM.
     Gemm,
     /// No bilinear decomposition: block scoring falls back to per-user
@@ -111,8 +111,8 @@ pub struct CatalogPlan {
     num_items: usize,
     /// Per-item user-independent score term (biases + cached visual bias).
     pub(crate) static_term: Vec<f32>,
-    pub(crate) terms: Vec<PlanTerm>,
-    pub(crate) kind: PlanKind,
+    terms: Vec<PlanTerm>,
+    kind: PlanKind,
 }
 
 impl CatalogPlan {
@@ -186,12 +186,6 @@ pub struct ScoreBlock {
     /// Staging for the block's user factors (`users.len() × dim`).
     pub(crate) staging: Tensor,
     pub(crate) scratch: GemmScratch,
-    /// Quantized-path scratch: per-user i8 codes and scales, used only by
-    /// [`QuantizedPlan::score_block`](crate::QuantizedPlan::score_block).
-    /// Living here keeps the quantized drivers on the exact same grow-only
-    /// worker-state reuse as the f32 path.
-    pub(crate) user_codes: Vec<i8>,
-    pub(crate) user_scales: Vec<f32>,
 }
 
 impl ScoreBlock {
@@ -202,8 +196,6 @@ impl ScoreBlock {
             scores: Tensor::zeros(&[0, 0]),
             staging: Tensor::zeros(&[0, 0]),
             scratch: GemmScratch::new(),
-            user_codes: Vec::new(),
-            user_scales: Vec::new(),
         }
     }
 
@@ -358,24 +350,6 @@ impl ScoringEngine {
             return Err(StaleEngine { cached: Some(cache.version), live: model.scoring_version() });
         }
         Ok(cache)
-    }
-
-    /// Builds an opt-in i8-quantized snapshot of the cached plan, or `None`
-    /// when the model's plan has no GEMM decomposition (oracle/scalar
-    /// models). See [`QuantizedPlan`](crate::QuantizedPlan) for the accuracy
-    /// contract — quantized scores are *approximate* and are validated by
-    /// top-N overlap, never bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaleEngine`] when the cache is absent or stale; refresh
-    /// with [`ScoringEngine::ensure`] and retry.
-    pub fn quantized<M: Recommender + ?Sized>(
-        &self,
-        model: &M,
-    ) -> Result<Option<crate::QuantizedPlan>, StaleEngine> {
-        let cache = self.cache_checked(model)?;
-        Ok(crate::QuantizedPlan::from_plan(&cache.plan, cache.version))
     }
 
     /// Scores every item for the contiguous user block `users`, writing the
@@ -634,11 +608,11 @@ impl ScoringEngine {
     }
 }
 
-/// The shard-streaming driver behind every `par_*` scoring entry point
-/// (f32 and quantized alike): shards run *serially* in user order — bounding
-/// resident scores — and the [`SCORE_BLOCK_USERS`]-sized blocks inside one
-/// shard fan out across worker threads, each worker reusing one
-/// `(ScoreBlock, SelectionScratch)` pair for every block it processes.
+/// The shard-streaming driver behind every `par_*` scoring entry point:
+/// shards run *serially* in user order — bounding resident scores — and the
+/// [`SCORE_BLOCK_USERS`]-sized blocks inside one shard fan out across worker
+/// threads, each worker reusing one `(ScoreBlock, SelectionScratch)` pair
+/// for every block it processes.
 ///
 /// `per_block` receives the worker state and one contiguous user block and
 /// returns that block's outputs in user order; outputs are reassembled in
@@ -649,7 +623,7 @@ impl ScoringEngine {
 /// # Panics
 ///
 /// Panics if `plan` does not cover exactly `num_users`.
-pub(crate) fn stream_user_shards<T, F>(
+fn stream_user_shards<T, F>(
     num_users: usize,
     plan: &ShardPlan,
     per_block: F,

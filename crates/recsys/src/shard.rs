@@ -10,9 +10,9 @@
 //! Sharding is **bitwise invisible**: each user's score row is computed by
 //! one [`ScoreBlock`](crate::ScoreBlock) whose GEMM walks the same absolute
 //! K blocks in the same order for any block or shard boundary, and
-//! selections are pure functions of one row. The `scale_grid` differential
-//! suite pins this down across ragged shard sizes (1, primes, > users) at
-//! 1/2/8 threads.
+//! selections are pure functions of one row. The `tests/scale_grid.rs`
+//! differential suite pins this down across ragged shard sizes (1, primes,
+//! > users) at 1/2/8 threads.
 
 use std::ops::Range;
 

@@ -150,17 +150,6 @@ fn head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Reads and parses one request head from a fresh connection under the
-/// standard client timeout. `Ok(None)` means the connection was closed
-/// early, timed out, or the head was malformed — the caller just drops it.
-pub(crate) fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    let mut conn = Conn::new(stream.try_clone()?);
-    match conn.read_request(CLIENT_READ_TIMEOUT, || true)? {
-        ReadOutcome::Request(req) => Ok(Some(req)),
-        _ => Ok(None),
-    }
-}
-
 /// Parses a full request head: the request line plus a scan of the header
 /// block for the `Connection` preference.
 fn parse_head(head: &str) -> Option<Request> {
@@ -240,12 +229,6 @@ pub(crate) fn respond_with(
     scratch.push_str(body);
     stream.write_all(scratch.as_bytes())?;
     stream.flush()
-}
-
-/// Writes a complete JSON response with `Connection: close` and flushes;
-/// the caller drops the stream afterwards.
-pub(crate) fn respond(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    respond_with(stream, status, body, false, &mut String::new())
 }
 
 /// Blocking one-shot GET against a local server: sends the request with

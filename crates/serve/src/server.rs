@@ -37,9 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::http::{
-    read_request, respond, respond_with, Conn, ReadOutcome, Request, CLIENT_READ_TIMEOUT,
-};
+use crate::http::{respond_with, Conn, ReadOutcome, Request, CLIENT_READ_TIMEOUT};
 use crate::ledger::Accountant;
 use crate::queue::BoundedQueue;
 use crate::supervisor::Supervisor;
@@ -125,17 +123,18 @@ impl Server {
                     // Responses are latency-sensitive single writes; never
                     // let Nagle hold one back on a kept-alive connection.
                     let _ = stream.set_nodelay(true);
-                    if let Err(mut shed) = queue.try_push(stream) {
+                    if let Err(shed) = queue.try_push(stream) {
                         // The load-shed point: full queue, typed 429.
                         // Consume the request head first — closing with
                         // unread bytes in the socket would RST the client
                         // before it reads the response.
                         accountant.shed();
-                        let _ = read_request(&mut shed);
+                        let mut shed = Conn::new(shed);
+                        let _ = shed.read_request(CLIENT_READ_TIMEOUT, || true);
                         let body = error_body(&ServeError::Overloaded {
                             queue_capacity: queue.capacity(),
                         });
-                        let _ = respond(&mut shed, 429, &body);
+                        let _ = respond_with(shed.stream(), 429, &body, false, &mut String::new());
                     }
                 }
             })

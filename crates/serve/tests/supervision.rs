@@ -4,14 +4,19 @@
 
 mod common;
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use taamr_fault::{with_shared_plan, FaultPlan, FaultSite};
-use taamr_serve::{ServeError, Supervisor, SupervisorConfig};
+use taamr_recsys::Recommender;
+use taamr_serve::{
+    HttpClient, ServeError, Server, ServerConfig, Supervisor, SupervisorConfig, TopNResponse,
+};
 
-/// Shared fault plans are process-global; tests in this binary that
-/// install one serialise on this gate.
+/// Shared fault plans are process-global and every actor consults them, so
+/// every test in this binary that runs an actor serialises on this gate —
+/// otherwise another test's actor can take an injected fault.
 static SHARED_GATE: Mutex<()> = Mutex::new(());
 
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -91,6 +96,7 @@ fn exhausted_retry_budget_is_a_typed_503() {
 
 #[test]
 fn chaos_kill_between_requests_recovers_transparently() {
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("supervision-kill");
     let sup = supervisor(&dir, 2);
     sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
@@ -114,6 +120,7 @@ fn chaos_kill_between_requests_recovers_transparently() {
 
 #[test]
 fn unknown_slot_and_bad_requests_are_typed() {
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("supervision-typed");
     let sup = supervisor(&dir, 2);
     sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
@@ -131,4 +138,79 @@ fn unknown_slot_and_bad_requests_are_typed() {
 
     let err = sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest { .. }), "got {err:?}");
+}
+
+/// Crash storm: kept-alive HTTP clients read while a chaos thread kills
+/// the slot's actor over and over. Every kill restarts the actor from its
+/// snapshot and empties its result cache; the clients must never see an
+/// error, and every answer must equal the serial reference list.
+#[test]
+fn crash_storm_under_kept_alive_load_serves_every_read_correctly() {
+    const CLIENTS: usize = 2;
+    const KILLS: usize = 8;
+    const TOP_N: usize = 10;
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = common::fresh_dir("supervision-storm");
+    let mut config = SupervisorConfig::new(&dir);
+    // Several kills can land inside one snapshot-restore window.
+    config.max_retries = 8;
+    let sup = Arc::new(Supervisor::new(config));
+    sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
+    let server_config =
+        ServerConfig { workers: CLIENTS, deadline: DEADLINE, ..ServerConfig::default() };
+    let server = Server::start(server_config, Arc::clone(&sup)).unwrap();
+    let addr = server.addr();
+
+    let model = common::model(1);
+    let seen = common::seen_lists();
+    let reference: Vec<Vec<usize>> =
+        (0..common::USERS).map(|u| model.top_n(u, TOP_N, &seen[u])).collect();
+
+    // The storm starts only once every client holds a live connection, and
+    // the clients keep reading until the last kill, so kills always land
+    // between and during kept-alive reads.
+    let started = Arc::new(Barrier::new(CLIENTS + 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let started = Arc::clone(&started);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut client = HttpClient::new(addr);
+                let mut answers = Vec::new();
+                let mut errors = 0usize;
+                let mut r = 0usize;
+                while r < common::USERS || !stop.load(Ordering::Relaxed) {
+                    let user = (c + r * CLIENTS) % common::USERS;
+                    match client.get(&format!("/recommend/bpr/{user}?n={TOP_N}")) {
+                        Ok((200, body)) => answers.push(body),
+                        Ok(_) | Err(_) => errors += 1,
+                    }
+                    if r == 0 {
+                        started.wait();
+                    }
+                    r += 1;
+                }
+                (answers, errors)
+            })
+        })
+        .collect();
+
+    started.wait();
+    for _ in 0..KILLS {
+        std::thread::sleep(Duration::from_millis(25));
+        sup.kill("bpr").unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+
+    for handle in clients {
+        let (answers, errors) = handle.join().expect("client thread");
+        assert_eq!(errors, 0, "a client saw an error during the crash storm");
+        for body in answers {
+            let resp: TopNResponse = serde_json::from_str(&body).unwrap();
+            assert_eq!(resp.items, reference[resp.user], "user {}", resp.user);
+        }
+    }
+    assert!(sup.accountant().snapshot().restarts >= 1, "the storm never restarted the actor");
+    server.shutdown();
 }

@@ -578,8 +578,8 @@ pub fn gemm_blocked(
 }
 
 /// [`gemm_blocked`] with an explicit parallel [`GemmSchedule`] — the ablation
-/// entry point behind the schedule differential tests and the `scale_grid`
-/// bench. Bitwise identical results for every schedule.
+/// entry point behind the schedule differential tests. Bitwise identical
+/// results for every schedule.
 ///
 /// # Errors
 ///

@@ -130,7 +130,8 @@ cargo run -q --release -p taamr-bench --features taamr/serial --bin replay -- \
     verify tests/golden_records
 
 # Serve audit: the serving layer's headline guarantees — crash recovery
-# restores byte-identical scores from the snapshot, a hammered model swap
+# restores byte-identical scores from the snapshot, a crash storm under
+# kept-alive HTTP load shows no client errors, a hammered model swap
 # shows no errors and a clean version cliff, coalesced batches and cache
 # hits are bitwise identical to serial uncached scoring, and a version bump
 # makes every cached top-N unreachable (hot_path) — re-run under the
@@ -147,9 +148,9 @@ cargo test -p taamr-serve --features serial -q --test supervision --test swap --
 # Scale audit: sharded scoring must be bitwise invisible — the shard-
 # streaming drivers and the default-plan drivers land on identical lists
 # and ranks for every model family, ragged shard height, and thread count,
-# and the i8-quantized path stays deterministic above its pinned accuracy
-# floor. Run under both the default (threaded) and `serial` builds so
-# neither schedule can hide a shard-boundary divergence.
+# and the shard counter is thread-invariant. Run under both the default
+# (threaded) and `serial` builds so neither schedule can hide a
+# shard-boundary divergence.
 echo "== scale audit: sharded scoring differential (default features)"
 cargo test -p taamr -q --test scale_grid
 

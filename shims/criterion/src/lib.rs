@@ -6,15 +6,10 @@
 //! `std::time::Instant` wall-clock measurement (median of `sample_size`
 //! samples after a short calibration).
 //!
-//! Two environment variables tune the harness:
-//! - `TAAMR_BENCH_FAST=1` shrinks the per-sample time budget ~10× so smoke
-//!   scripts finish quickly.
-//! - `TAAMR_BENCH_JSON=<path>` appends one JSON line
-//!   `{"name": ..., "ns_per_iter": ...}` per benchmark, which
-//!   `scripts/bench_smoke.sh` aggregates.
+//! `TAAMR_BENCH_FAST=1` shrinks the per-sample time budget ~10× so quick
+//! runs finish fast.
 
 use std::fmt;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Drives one benchmark's measurement loop.
@@ -112,11 +107,6 @@ fn measure<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, mut routine: 
         "{name:<40} time: {median:>12.1} ns/iter  ({} samples x {iters} iters)",
         samples.len()
     );
-    if let Ok(path) = std::env::var("TAAMR_BENCH_JSON") {
-        if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(file, "{{\"name\": {name:?}, \"ns_per_iter\": {median}}}");
-        }
-    }
 }
 
 /// Top-level benchmark driver.

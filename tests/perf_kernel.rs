@@ -104,8 +104,7 @@ fn gemm_256_parallel_scales_on_multicore_hosts() {
     if cores < 2 {
         eprintln!(
             "perf_kernel: scaling smoke skipped — available_parallelism()={cores}; \
-             a single core cannot exhibit parallel speedup, only scheduling overhead \
-             (see BENCH_scale.json hardware note)"
+             a single core cannot exhibit parallel speedup, only scheduling overhead"
         );
         return;
     }

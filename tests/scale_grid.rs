@@ -7,10 +7,8 @@
 //! ragged shard height (1, primes, taller than the user set), and 1/2/8
 //! threads, the sharded results must be identical — element for element —
 //! to the default-plan driver and to the serial per-user trait calls.
-//!
-//! The i8-quantized path is *approximate* by contract, so it gets a
-//! different pin: deterministic across threads and shard plans, and top-N
-//! overlap vs the exact f32 path at or above a conservative floor.
+
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,15 +16,16 @@ use rand::SeedableRng;
 use taamr::parallel::with_threads;
 use taamr_data::ImplicitDataset;
 use taamr_recsys::{
-    top_n_overlap, Amr, AmrConfig, BprMf, Popularity, Recommender, ScoringEngine, ShardPlan,
-    Vbpr, VbprConfig,
+    Amr, AmrConfig, BprMf, Popularity, Recommender, ScoringEngine, ShardPlan, Vbpr, VbprConfig,
 };
 
-/// The pinned accuracy floor for i8-quantized top-10 overlap. Measured
-/// overlap on seeded models sits around 0.99 (see `BENCH_scale.json`);
-/// 0.9 leaves room for unlucky seeds without letting real accuracy
-/// regressions through.
-const QUANT_OVERLAP_FLOOR: f64 = 0.9;
+/// Telemetry counters are process-global and tests in one binary run
+/// concurrently, so every test here that scores or reads counters holds
+/// this gate — otherwise sibling sweeps leak into counter deltas.
+fn gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fake_features(num_items: usize, d: usize, seed: u64) -> Vec<f32> {
     let shift = (seed % 89) as usize;
@@ -69,6 +68,7 @@ proptest! {
         items in 2usize..30,
         seed in 0u64..1000,
     ) {
+        let _gate = gate();
         let probe_item = seed as usize % items;
         for (name, model) in families(users, items, seed) {
             let model = model.as_ref();
@@ -102,83 +102,27 @@ proptest! {
             }
         }
     }
-
-    /// The quantized path is deterministic (thread- and shard-invariant)
-    /// and its top-N overlap against the exact f32 path meets the pinned
-    /// floor for every factor-based family.
-    #[test]
-    fn quantized_path_is_deterministic_and_accurate(
-        users in 8usize..40,
-        items in 16usize..60,
-        seed in 0u64..1000,
-    ) {
-        for (name, model) in families(users, items, seed) {
-            let model = model.as_ref();
-            let engine = ScoringEngine::for_model(model);
-            let Some(q) = engine.quantized(model).unwrap() else {
-                prop_assert!(name == "popularity", "only the static family may lack factors");
-                continue;
-            };
-            let exact = engine.par_top_n_all(model, 10, |_| &[][..]).unwrap();
-            let approx = q.par_top_n_all(model, 10, |_| &[][..]).unwrap();
-            let overlap = top_n_overlap(&exact, &approx);
-            prop_assert!(
-                overlap >= QUANT_OVERLAP_FLOOR,
-                "{}: quantized top-10 overlap {} below pinned floor {}",
-                name, overlap, QUANT_OVERLAP_FLOOR
-            );
-            for shard in [1usize, 13, users + 3] {
-                let plan = ShardPlan::new(users, shard);
-                for threads in [1usize, 2, 8] {
-                    let again = with_threads(threads, || {
-                        q.par_top_n_all_sharded(model, 10, |_| &[][..], &plan).unwrap()
-                    });
-                    prop_assert!(
-                        again == approx,
-                        "{}: quantized lists diverged at shard={} threads={}",
-                        name, shard, threads
-                    );
-                }
-            }
-        }
-    }
 }
 
-/// Popularity has no factor terms, so quantization has nothing to compress:
-/// the engine reports that as `None`, never as an error.
-#[test]
-fn static_plans_decline_quantization() {
-    let data = ImplicitDataset::new(vec![vec![0], vec![1]], vec![0, 0, 0], 1);
-    let model = Popularity::from_dataset(&data);
-    let engine = ScoringEngine::for_model(&model);
-    assert!(engine.quantized(&model).unwrap().is_none());
-}
-
-/// The shard and quantized-block counters are pure functions of the plan:
-/// the same sweep at any thread count streams the same number of shards
-/// and scores the same number of quantized blocks.
+/// The shard counter is a pure function of the plan: the same sweeps at
+/// any thread count stream the same number of shards.
 #[test]
 fn shard_telemetry_is_thread_invariant() {
+    let _gate = gate();
     taamr_obs::set_enabled(true);
-    let counted = |name: &str| taamr_obs::snapshot().counter(name).unwrap_or(0);
+    let counted = || taamr_obs::snapshot().counter("scoring_shards").unwrap_or(0);
     let model = BprMf::new(130, 20, 4, &mut StdRng::seed_from_u64(5));
     let engine = ScoringEngine::for_model(&model);
-    let q = engine.quantized(&model).unwrap().expect("BPR-MF has factor terms");
     let plan = ShardPlan::new(130, 48);
     let mut shard_counts = Vec::new();
-    let mut quant_counts = Vec::new();
     for threads in [1usize, 2, 8] {
-        let (before_shards, before_blocks) =
-            (counted("scoring_shards"), counted("quantized_score_blocks"));
+        let before = counted();
         with_threads(threads, || {
             engine.par_top_n_all_sharded(&model, 3, |_| &[][..], &plan).unwrap();
-            q.par_top_n_all_sharded(&model, 3, |_| &[][..], &plan).unwrap();
+            engine.par_item_ranks_sharded(&model, 7, |_| &[][..], &plan).unwrap();
         });
-        shard_counts.push(counted("scoring_shards") - before_shards);
-        quant_counts.push(counted("quantized_score_blocks") - before_blocks);
+        shard_counts.push(counted() - before);
     }
     // ceil(130/48) = 3 shards per driver, two drivers per round.
     assert_eq!(shard_counts, vec![6, 6, 6], "shards streamed at every thread count");
-    // ceil(48/64)·2 + ceil(34/64) = 3 quantized blocks per quant sweep.
-    assert_eq!(quant_counts, vec![3, 3, 3], "quant blocks at every thread count");
 }
