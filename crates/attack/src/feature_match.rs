@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use taamr_nn::loss::feature_match_loss;
 use taamr_nn::FeatureGradient;
 use taamr_tensor::Tensor;
 
@@ -87,6 +88,12 @@ impl FeatureMatch {
         self.steps
     }
 
+    /// The feature-matching loss at `images` from a forward pass only; bitwise
+    /// equal to the loss [`FeatureGradient::feature_loss_input_grad`] returns.
+    fn probe_loss(model: &mut dyn FeatureGradient, images: &Tensor, target: &Tensor) -> f32 {
+        feature_match_loss(&model.features(images), target).0
+    }
+
     /// Perturbs `images` so their features approach `target_features`
     /// (row-major `[batch, feature_dim]`), staying within the ε-ball and the
     /// valid pixel range. Starts from a random point in the ball, like PGD.
@@ -103,7 +110,7 @@ impl FeatureMatch {
     ) -> FeatureMatchResult {
         assert_eq!(images.rank(), 4, "FeatureMatch expects an NCHW batch");
         let eps = self.epsilon.as_fraction();
-        let (loss_before, _) = model.feature_loss_input_grad(images, target_features);
+        let loss_before = Self::probe_loss(model, images, target_features);
 
         // Track the best iterate: the signed steps do not converge smoothly
         // on an MSE objective, and the clean image itself is a valid
@@ -126,7 +133,7 @@ impl FeatureMatch {
                 *a = a.clamp(c - eps, c + eps).clamp(0.0, 1.0);
             }
         }
-        let (final_loss, _) = model.feature_loss_input_grad(&adv, target_features);
+        let final_loss = Self::probe_loss(model, &adv, target_features);
         if final_loss < best_loss {
             best_loss = final_loss;
             best = adv;
@@ -184,6 +191,52 @@ mod tests {
         let result = attack.perturb(&mut net, &x, &own, &mut seeded_rng(5));
         assert!(result.loss_before.abs() < 1e-10);
         assert_eq!(result.distance_reduction(), 0.0);
+    }
+
+    #[test]
+    fn probe_loss_is_bitwise_the_gradient_path_loss() {
+        let (mut net, x, target) = setup();
+        let (grad_path, _) = net.feature_loss_input_grad(&x, &target);
+        let probe = FeatureMatch::probe_loss(&mut net, &x, &target);
+        assert_eq!(probe.to_bits(), grad_path.to_bits());
+    }
+
+    #[test]
+    fn forward_only_probes_leave_the_outcome_unchanged() {
+        // Reference: the same loop with both loss probes read off a full
+        // `feature_loss_input_grad` call, the gradient discarded.
+        let (mut net, x, target) = setup();
+        let attack = FeatureMatch::new(Epsilon::from_255(16.0), 6);
+        let eps = attack.epsilon.as_fraction();
+        let mut rng = seeded_rng(7);
+        let (loss_before, _) = net.feature_loss_input_grad(&x, &target);
+        let (mut best, mut best_loss, mut adv) = (x.clone(), loss_before, x.clone());
+        for v in adv.iter_mut() {
+            *v = (*v + rng.gen_range(-eps..=eps)).clamp(0.0, 1.0);
+        }
+        for _ in 0..attack.steps {
+            let (loss, grad) = net.feature_loss_input_grad(&adv, &target);
+            if loss < best_loss {
+                best_loss = loss;
+                best = adv.clone();
+            }
+            adv.axpy(-attack.alpha, &grad.signum());
+            for (a, &c) in adv.iter_mut().zip(x.iter()) {
+                *a = a.clamp(c - eps, c + eps).clamp(0.0, 1.0);
+            }
+        }
+        let (final_loss, _) = net.feature_loss_input_grad(&adv, &target);
+        if final_loss < best_loss {
+            best_loss = final_loss;
+            best = adv;
+        }
+        let reference = FeatureMatchResult { images: best, loss_before, loss_after: best_loss };
+
+        let result = attack.perturb(&mut net, &x, &target, &mut seeded_rng(7));
+        let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&result.images), bits(&reference.images));
+        assert_eq!(result.loss_before.to_bits(), reference.loss_before.to_bits());
+        assert_eq!(result.loss_after.to_bits(), reference.loss_after.to_bits());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Benchmarks of the CNN substrate: forward pass (feature extraction is the
-//! pipeline's per-item cost), input-gradient pass (the attacks' inner loop),
-//! and a full training step.
+//! pipeline's per-item cost), input-gradient pass (the attacks' inner loop,
+//! an input-only backward) beside the full backward it replaced (weight
+//! gradients included) on the same net and batch, and a full training step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use taamr_nn::{ImageClassifier, TinyResNet, TinyResNetConfig};
+use taamr_nn::loss::softmax_cross_entropy;
+use taamr_nn::{ImageClassifier, Mode, TinyResNet, TinyResNetConfig};
 use taamr_tensor::{seeded_rng, Tensor};
 
 fn catalog_net() -> TinyResNet {
@@ -35,6 +37,16 @@ fn bench_input_gradient(c: &mut Criterion) {
     let labels = vec![1usize; 8];
     c.bench_function("cnn_input_grad_batch8_32px", |b| {
         b.iter(|| std::hint::black_box(net.loss_input_grad(&x, &labels).0));
+    });
+    // The same forward (eval mode) and loss, then the training backward:
+    // the ratio to the row above is what skipping weight gradients saves.
+    c.bench_function("cnn_full_backward_batch8_32px", |b| {
+        b.iter(|| {
+            let (_, logits) = net.forward_full(&x, Mode::Eval);
+            let (loss, grad_logits) = softmax_cross_entropy(&logits, &labels);
+            net.backward_from_logits(&grad_logits);
+            std::hint::black_box(loss)
+        });
     });
 }
 

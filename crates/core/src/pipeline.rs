@@ -1591,6 +1591,37 @@ mod tests {
     }
 
     #[test]
+    fn item_to_item_attack_outcome_is_pinned_and_leaves_the_classifier_grads() {
+        let mut p = tiny_pipeline();
+        let grad_bits = |p: &mut Pipeline| -> Vec<u32> {
+            p.classifier
+                .params_mut()
+                .iter()
+                .flat_map(|q| q.grad.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        let grads_before = grad_bits(&mut p);
+        let items = p.dataset().items_of_category(0);
+        let (source, victim) = (items[0], items[1]);
+        // Outcome bits recorded when both loss probes still ran a full
+        // backward: the forward-only probes and the input-only backward
+        // must not move them.
+        let pinned = [
+            (ModelKind::Vbpr, 0x404c_64ec_4ec4_ec4f_u64, 0x4046_53b1_3b13_b13b_u64, 0x4045_8276_2762_7627_u64),
+            (ModelKind::Amr, 0x4051_2b13_b13b_13b1, 0x4051_2b13_b13b_13b1, 0x404d_bb13_b13b_13b1),
+        ];
+        for (kind, before, after, victim_rank) in pinned {
+            let o = p.run_item_to_item_attack(kind, source, victim, Epsilon::from_255(16.0));
+            assert_eq!((o.source_item, o.victim_item), (75, 114));
+            assert_eq!(o.feature_distance_reduction.to_bits(), 0x3f78_9553);
+            assert_eq!(o.mean_rank_before.to_bits(), before);
+            assert_eq!(o.mean_rank_after.to_bits(), after);
+            assert_eq!(o.victim_mean_rank.to_bits(), victim_rank);
+        }
+        assert_eq!(grad_bits(&mut p), grads_before, "the attack moved the classifier's gradients");
+    }
+
+    #[test]
     #[should_panic(expected = "must differ")]
     fn item_to_item_rejects_equal_items() {
         let mut p = tiny_pipeline();

@@ -35,6 +35,9 @@ pub trait ImageClassifier {
     /// For a *targeted* attack, pass the target class as the label and
     /// descend the returned gradient; for an untargeted attack, pass the true
     /// class and ascend it.
+    ///
+    /// Implementations leave the network's parameter gradients as they found
+    /// them: an attack reads `∇ₓL` only (see [`crate::Layer::backward_input`]).
     fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor);
 
     /// Predicted class per batch row (argmax of logits).
@@ -60,7 +63,10 @@ pub trait FeatureGradient: ImageClassifier {
     /// Mean squared feature-matching loss `‖f_e(x) − target‖² / D` per batch
     /// row (averaged over the batch), and its gradient with respect to `x`.
     ///
-    /// `target_features` is row-major `[batch, feature_dim]`.
+    /// `target_features` is row-major `[batch, feature_dim]`. The loss is
+    /// [`crate::loss::feature_match_loss`] of the layer-`e` features, so a
+    /// forward-only probe of [`ImageClassifier::features`] reads the same
+    /// value bit for bit. Parameter gradients are left untouched.
     ///
     /// # Panics
     ///

@@ -77,6 +77,11 @@ impl Param {
 /// * `backward` may only be called after `forward`.
 /// * Parameter gradients *accumulate*; callers zero them via
 ///   [`Layer::zero_grads`] between optimiser steps.
+/// * [`Layer::backward_input`] returns the same input gradient as
+///   `backward`, bit for bit, and leaves every [`Param::grad`] untouched:
+///   it runs the same input-gradient arithmetic (same GEMM calls, shapes and
+///   order) and skips only the parameter-gradient work. Attacks, which need
+///   `∇ₓL` alone, use it; training uses `backward`.
 ///
 /// Layers are plain data (`Send + Sync`), and [`Layer::boxed_clone`] deep-
 /// copies one so each worker thread can own private forward/backward caches
@@ -93,6 +98,20 @@ pub trait Layer: Send + Sync {
     /// Panics if called before [`Layer::forward`] or with a gradient whose
     /// shape does not match the most recent output.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Propagates `grad_output` backwards and returns only the gradient with
+    /// respect to the layer's input; parameter gradients are left as they
+    /// were. The result is bitwise equal to [`Layer::backward`]'s.
+    ///
+    /// The default calls `backward`, which is exact for layers without
+    /// parameters; layers that own a [`Param`] must override it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward(grad_output)
+    }
 
     /// Mutable access to the layer's trainable parameters (empty by default).
     fn params_mut(&mut self) -> Vec<&mut Param> {

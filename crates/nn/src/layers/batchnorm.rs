@@ -59,6 +59,67 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
+
+    /// Shared backward. The per-channel sums `Σdy` and `Σdy·x̂` are dβ and
+    /// dγ; they are formed when `accumulate_params` is set (and then added
+    /// to the parameter gradients) or when train-mode `dx` needs them.
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
+        let cache = self.cache.as_ref().expect("backward before forward");
+        let [n, c, h, w] = cache.dims;
+        assert_eq!(grad_output.dims(), &[n, c, h, w], "BatchNorm2d gradient shape mismatch");
+        let m = (n * h * w) as f32;
+        let dy = grad_output.as_slice();
+        let xh = cache.x_hat.as_slice();
+        let g = self.gamma.value.as_slice();
+
+        let mut dgamma = vec![0.0f32; c];
+        let mut dbeta = vec![0.0f32; c];
+        if accumulate_params || cache.mode.is_train() {
+            for ni in 0..n {
+                for ci in 0..c {
+                    let plane = (ni * c + ci) * h * w;
+                    for i in plane..plane + h * w {
+                        dgamma[ci] += dy[i] * xh[i];
+                        dbeta[ci] += dy[i];
+                    }
+                }
+            }
+        }
+        if accumulate_params {
+            for ci in 0..c {
+                self.gamma.grad.as_mut_slice()[ci] += dgamma[ci];
+                self.beta.grad.as_mut_slice()[ci] += dbeta[ci];
+            }
+        }
+
+        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        let gi = grad_in.as_mut_slice();
+        if cache.mode.is_train() {
+            // dx = (γ·inv_std / M) · (M·dy − Σdy − x̂·Σ(dy·x̂))
+            for ci in 0..c {
+                let coeff = g[ci] * cache.inv_std[ci] / m;
+                let (sum_dy, sum_dy_xh) = (dbeta[ci], dgamma[ci]);
+                for ni in 0..n {
+                    let plane = (ni * c + ci) * h * w;
+                    for i in plane..plane + h * w {
+                        gi[i] = coeff * (m * dy[i] - sum_dy - xh[i] * sum_dy_xh);
+                    }
+                }
+            }
+        } else {
+            // Eval mode is a frozen affine map: dx = dy · γ · inv_std.
+            for (ci, &gamma) in g.iter().enumerate().take(c) {
+                let coeff = gamma * cache.inv_std[ci];
+                for ni in 0..n {
+                    let plane = (ni * c + ci) * h * w;
+                    for i in plane..plane + h * w {
+                        gi[i] = coeff * dy[i];
+                    }
+                }
+            }
+        }
+        grad_in
+    }
 }
 
 impl Layer for BatchNorm2d {
@@ -126,58 +187,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [n, c, h, w] = cache.dims;
-        assert_eq!(grad_output.dims(), &[n, c, h, w], "BatchNorm2d gradient shape mismatch");
-        let m = (n * h * w) as f32;
-        let dy = grad_output.as_slice();
-        let xh = cache.x_hat.as_slice();
-        let g = self.gamma.value.as_slice();
+        self.backprop(grad_output, true)
+    }
 
-        // dγ and dβ (both modes).
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                for i in plane..plane + h * w {
-                    dgamma[ci] += dy[i] * xh[i];
-                    dbeta[ci] += dy[i];
-                }
-            }
-        }
-        for ci in 0..c {
-            self.gamma.grad.as_mut_slice()[ci] += dgamma[ci];
-            self.beta.grad.as_mut_slice()[ci] += dbeta[ci];
-        }
-
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let gi = grad_in.as_mut_slice();
-        if cache.mode.is_train() {
-            // dx = (γ·inv_std / M) · (M·dy − Σdy − x̂·Σ(dy·x̂))
-            for ci in 0..c {
-                let coeff = g[ci] * cache.inv_std[ci] / m;
-                let (sum_dy, sum_dy_xh) = (dbeta[ci], dgamma[ci]);
-                for ni in 0..n {
-                    let plane = (ni * c + ci) * h * w;
-                    for i in plane..plane + h * w {
-                        gi[i] = coeff * (m * dy[i] - sum_dy - xh[i] * sum_dy_xh);
-                    }
-                }
-            }
-        } else {
-            // Eval mode is a frozen affine map: dx = dy · γ · inv_std.
-            for (ci, &gamma) in g.iter().enumerate().take(c) {
-                let coeff = gamma * cache.inv_std[ci];
-                for ni in 0..n {
-                    let plane = (ni * c + ci) * h * w;
-                    for i in plane..plane + h * w {
-                        gi[i] = coeff * dy[i];
-                    }
-                }
-            }
-        }
-        grad_in
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backprop(grad_output, false)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

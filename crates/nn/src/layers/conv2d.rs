@@ -104,6 +104,45 @@ impl Conv2d {
             }
         }
     }
+
+    /// Shared backward: `dX = col2im(Wᵀ · dY)`, plus `dW += dY · colsᵀ` and
+    /// `db += row sums of dY` when `accumulate_params` is set. The input
+    /// gradient does not depend on the flag.
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
+        let cols = self.cols.as_ref().expect("backward before forward");
+        let dims = self.input_dims.expect("backward before forward");
+        with_conv_scratch(|scratch| {
+            Self::from_nchw_into(grad_output, &mut scratch.grad_mat);
+            let grad_mat = &scratch.grad_mat;
+
+            if accumulate_params {
+                // dW += dY · colsᵀ
+                gemm(1.0, grad_mat, Transpose::No, cols, Transpose::Yes, 1.0, &mut self.weight.grad)
+                    .expect("conv weight-grad gemm");
+                // db += row sums of dY
+                let row_len = grad_mat.dims()[1];
+                let g = grad_mat.as_slice();
+                for o in 0..self.out_channels {
+                    self.bias.grad.as_mut_slice()[o] +=
+                        g[o * row_len..(o + 1) * row_len].iter().sum::<f32>();
+                }
+            }
+            // dX = col2im(Wᵀ · dY)
+            let grad_cols = &mut scratch.grad_cols;
+            grad_cols.reset_to_zeros(cols.dims());
+            gemm(
+                1.0,
+                &self.weight.value,
+                Transpose::Yes,
+                grad_mat,
+                Transpose::No,
+                0.0,
+                grad_cols,
+            )
+            .expect("conv input-grad gemm");
+            col2im(grad_cols, &dims, &self.geom).expect("col2im on validated shapes")
+        })
+    }
 }
 
 impl Layer for Conv2d {
@@ -142,39 +181,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self.cols.as_ref().expect("backward before forward");
-        let dims = self.input_dims.expect("backward before forward");
-        with_conv_scratch(|scratch| {
-            Self::from_nchw_into(grad_output, &mut scratch.grad_mat);
-            let grad_mat = &scratch.grad_mat;
+        self.backprop(grad_output, true)
+    }
 
-            // dW += dY · colsᵀ
-            gemm(1.0, grad_mat, Transpose::No, cols, Transpose::Yes, 1.0, &mut self.weight.grad)
-                .expect("conv weight-grad gemm");
-            // db += row sums of dY
-            {
-                let row_len = grad_mat.dims()[1];
-                let g = grad_mat.as_slice();
-                for o in 0..self.out_channels {
-                    self.bias.grad.as_mut_slice()[o] +=
-                        g[o * row_len..(o + 1) * row_len].iter().sum::<f32>();
-                }
-            }
-            // dX = col2im(Wᵀ · dY)
-            let grad_cols = &mut scratch.grad_cols;
-            grad_cols.reset_to_zeros(cols.dims());
-            gemm(
-                1.0,
-                &self.weight.value,
-                Transpose::Yes,
-                grad_mat,
-                Transpose::No,
-                0.0,
-                grad_cols,
-            )
-            .expect("conv input-grad gemm");
-            col2im(grad_cols, &dims, &self.geom).expect("col2im on validated shapes")
-        })
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backprop(grad_output, false)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

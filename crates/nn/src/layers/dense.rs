@@ -44,6 +44,34 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// Shared backward: `dX = dY · W`, plus `dW += dYᵀ · X` and `db +=`
+    /// column sums of `dY` when `accumulate_params` is set. The input
+    /// gradient does not depend on the flag.
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
+        let input = self.input.as_ref().expect("backward before forward");
+        if accumulate_params {
+            // dW += dYᵀ · X
+            gemm(1.0, grad_output, Transpose::Yes, input, Transpose::No, 1.0, &mut self.weight.grad)
+                .expect("dense weight-grad gemm");
+            // db += column sums of dY
+            let col_sums = grad_output.sum_axis0().expect("grad_output is a matrix");
+            self.bias.grad.axpy(1.0, &col_sums);
+        }
+        // dX = dY · W
+        let mut grad_in = Tensor::zeros(input.dims());
+        gemm(
+            1.0,
+            grad_output,
+            Transpose::No,
+            &self.weight.value,
+            Transpose::No,
+            0.0,
+            &mut grad_in,
+        )
+        .expect("dense input-grad gemm");
+        grad_in
+    }
 }
 
 impl Layer for Dense {
@@ -68,26 +96,11 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.input.as_ref().expect("backward before forward");
-        // dW += dYᵀ · X
-        gemm(1.0, grad_output, Transpose::Yes, input, Transpose::No, 1.0, &mut self.weight.grad)
-            .expect("dense weight-grad gemm");
-        // db += column sums of dY
-        let col_sums = grad_output.sum_axis0().expect("grad_output is a matrix");
-        self.bias.grad.axpy(1.0, &col_sums);
-        // dX = dY · W
-        let mut grad_in = Tensor::zeros(input.dims());
-        gemm(
-            1.0,
-            grad_output,
-            Transpose::No,
-            &self.weight.value,
-            Transpose::No,
-            0.0,
-            &mut grad_in,
-        )
-        .expect("dense input-grad gemm");
-        grad_in
+        self.backprop(grad_output, true)
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backprop(grad_output, false)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

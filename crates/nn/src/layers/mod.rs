@@ -1,6 +1,10 @@
 //! Network layers: convolution, normalisation, activation, pooling,
 //! fully-connected, residual composition.
 
+use taamr_tensor::Tensor;
+
+use crate::Layer;
+
 mod batchnorm;
 mod conv2d;
 mod dense;
@@ -20,6 +24,11 @@ pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use relu::ReLU;
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;
+
+/// One layer's backward step as a container routes it to a child: either
+/// [`Layer::backward`] or [`Layer::backward_input`]. Containers write their
+/// wiring once, over this step.
+pub(crate) type BackwardStep = fn(&mut dyn Layer, &Tensor) -> Tensor;
 
 #[cfg(test)]
 pub(crate) mod gradcheck {

@@ -3,7 +3,7 @@
 use rand::Rng;
 use taamr_tensor::Tensor;
 
-use crate::layers::{BatchNorm2d, Conv2d, ReLU};
+use crate::layers::{BackwardStep, BatchNorm2d, Conv2d, ReLU};
 use crate::{Layer, Mode, Param};
 
 /// A basic ResNet block: `ReLU(BN(conv(ReLU(BN(conv(x))))) + shortcut(x))`.
@@ -55,6 +55,33 @@ impl ResidualBlock {
     pub fn has_projection(&self) -> bool {
         self.shortcut.is_some()
     }
+
+    /// The block's backward wiring: output-ReLU mask, main branch, shortcut
+    /// branch, sum. Every child step goes through `step`.
+    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> Tensor {
+        let mask = self.out_mask.as_ref().expect("backward before forward");
+        let mut g = grad_output.clone();
+        for (v, &m) in g.iter_mut().zip(mask) {
+            if !m {
+                *v = 0.0;
+            }
+        }
+        // Main branch.
+        let mut gm = step(&mut self.bn2, &g);
+        gm = step(&mut self.conv2, &gm);
+        gm = step(&mut self.relu1, &gm);
+        gm = step(&mut self.bn1, &gm);
+        gm = step(&mut self.conv1, &gm);
+        // Shortcut branch.
+        let gs = match &mut self.shortcut {
+            Some((conv, bn)) => {
+                let t = step(bn, &g);
+                step(conv, &t)
+            }
+            None => g,
+        };
+        &gm + &gs
+    }
 }
 
 impl Layer for ResidualBlock {
@@ -81,28 +108,11 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.out_mask.as_ref().expect("backward before forward");
-        let mut g = grad_output.clone();
-        for (v, &m) in g.iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        // Main branch.
-        let mut gm = self.bn2.backward(&g);
-        gm = self.conv2.backward(&gm);
-        gm = self.relu1.backward(&gm);
-        gm = self.bn1.backward(&gm);
-        gm = self.conv1.backward(&gm);
-        // Shortcut branch.
-        let gs = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let t = bn.backward(&g);
-                conv.backward(&t)
-            }
-            None => g,
-        };
-        &gm + &gs
+        self.backprop(grad_output, |l, g| l.backward(g))
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backprop(grad_output, |l, g| l.backward_input(g))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

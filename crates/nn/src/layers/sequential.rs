@@ -2,6 +2,7 @@
 
 use taamr_tensor::Tensor;
 
+use crate::layers::BackwardStep;
 use crate::{Layer, Mode, Param};
 
 /// A stack of layers applied in order; backward runs them in reverse.
@@ -50,6 +51,15 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// Runs `step` through the layers in reverse order.
+    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> Tensor {
+        let mut g = grad_output.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = step(layer.as_mut(), &g);
+        }
+        g
+    }
 }
 
 impl Layer for Sequential {
@@ -62,11 +72,11 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        self.backprop(grad_output, |l, g| l.backward(g))
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backprop(grad_output, |l, g| l.backward_input(g))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

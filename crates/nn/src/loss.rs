@@ -95,6 +95,30 @@ pub fn soft_cross_entropy(logits: &Tensor, target_probs: &Tensor) -> (f32, Tenso
     ((total / n as f64) as f32, grad)
 }
 
+/// Feature-matching loss `L = Σ(f − t)² / (N·D)` over `[batch, D]` feature
+/// rows — the mean over the batch of `‖f_i − t_i‖² / D` — plus its gradient
+/// with respect to the features, `∂L/∂f = 2 (f − t) / (N·D)`.
+///
+/// This is the objective of the item-to-item feature-matching attack, so
+/// the gradient path ([`crate::FeatureGradient::feature_loss_input_grad`])
+/// and forward-only loss probes read the same number.
+///
+/// # Panics
+///
+/// Panics if `features` and `target` differ in shape or are not rank-2.
+pub fn feature_match_loss(features: &Tensor, target: &Tensor) -> (f32, Tensor) {
+    assert_eq!(features.rank(), 2, "feature_match_loss expects [batch, D] features");
+    assert_eq!(
+        features.dims(),
+        target.dims(),
+        "one target feature row per batch element required"
+    );
+    let (n, d) = (features.dims()[0], features.dims()[1]);
+    let diff = features - target;
+    let loss = diff.iter().map(|&v| v * v).sum::<f32>() / (n * d) as f32;
+    (loss, diff.scaled(2.0 / (n * d) as f32))
+}
+
 /// Row-wise softmax of `logits / temperature` — the "softened" distribution
 /// defensive distillation trains against.
 ///
@@ -136,6 +160,17 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn feature_match_loss_is_mean_squared_distance_with_its_gradient() {
+        let f = Tensor::from_vec(vec![1.0, 2.0, 0.0, -1.0], &[2, 2]).unwrap();
+        let t = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
+        let (loss, grad) = feature_match_loss(&f, &t);
+        // (1 + 4 + 0 + 4) / (2·2)
+        assert_eq!(loss, 2.25);
+        // 2 (f − t) / 4
+        assert_eq!(grad.as_slice(), &[0.5, 1.0, 0.0, -1.0]);
+    }
 
     #[test]
     fn uniform_logits_give_log_c_loss() {

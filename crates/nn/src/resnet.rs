@@ -4,7 +4,7 @@ use rand::Rng;
 use taamr_tensor::Tensor;
 
 use crate::layers::{BatchNorm2d, Conv2d, Dense, GlobalAvgPool, ReLU, ResidualBlock, Sequential};
-use crate::loss::softmax_cross_entropy;
+use crate::loss::{feature_match_loss, softmax_cross_entropy};
 use crate::{ImageClassifier, Layer, Mode, Param};
 
 /// Architecture of a [`TinyResNet`].
@@ -239,8 +239,8 @@ impl ImageClassifier for TinyResNet {
     fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         let (_, logits) = self.forward_full(x, Mode::Eval);
         let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
-        let grad_features = self.head.backward(&grad_logits);
-        let grad_input = self.trunk.backward(&grad_features);
+        let grad_features = self.head.backward_input(&grad_logits);
+        let grad_input = self.trunk.backward_input(&grad_features);
         (loss, grad_input)
     }
 }
@@ -248,17 +248,8 @@ impl ImageClassifier for TinyResNet {
 impl crate::FeatureGradient for TinyResNet {
     fn feature_loss_input_grad(&mut self, x: &Tensor, target_features: &Tensor) -> (f32, Tensor) {
         let features = self.trunk.forward(x, Mode::Eval);
-        assert_eq!(
-            features.dims(),
-            target_features.dims(),
-            "one target feature row per batch element required"
-        );
-        let (n, d) = (features.dims()[0], features.dims()[1]);
-        // L = mean_i ‖f_i − t_i‖² / D; ∂L/∂f = 2 (f − t) / (N·D).
-        let diff = &features - target_features;
-        let loss = diff.iter().map(|&v| v * v).sum::<f32>() / (n * d) as f32;
-        let grad_features = diff.scaled(2.0 / (n * d) as f32);
-        let grad_input = self.trunk.backward(&grad_features);
+        let (loss, grad_features) = feature_match_loss(&features, target_features);
+        let grad_input = self.trunk.backward_input(&grad_features);
         (loss, grad_input)
     }
 }
@@ -382,6 +373,72 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let bad = Tensor::zeros(&[1, net.feature_dim()]);
         net.feature_loss_input_grad(&x, &bad);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Gives every parameter a non-zero gradient and returns its bits.
+    fn seed_grads(net: &mut TinyResNet) -> Vec<Vec<u32>> {
+        for (k, p) in net.params_mut().into_iter().enumerate() {
+            for (i, g) in p.grad.iter_mut().enumerate() {
+                *g = 0.5 - (k * 17 + i) as f32 * 1e-4;
+            }
+        }
+        net.params_mut().iter().map(|p| bits(&p.grad)).collect()
+    }
+
+    #[test]
+    fn loss_input_grad_matches_the_full_backward_bitwise() {
+        let cfg = TinyResNetConfig::catalog_default(5);
+        let mut net = TinyResNet::new(&cfg, &mut seeded_rng(30));
+        let x = Tensor::rand_uniform(&[3, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(31));
+        let labels = [4usize, 0, 2];
+        // Reference: the training backward, which also accumulates weights.
+        let mut full = net.clone();
+        let (_, logits) = full.forward_full(&x, Mode::Eval);
+        let (loss_full, grad_logits) = softmax_cross_entropy(&logits, &labels);
+        let grad_features = full.head.backward(&grad_logits);
+        let dx_full = full.trunk.backward(&grad_features);
+
+        let (loss, dx) = net.loss_input_grad(&x, &labels);
+        assert_eq!(loss.to_bits(), loss_full.to_bits());
+        assert_eq!(bits(&dx), bits(&dx_full));
+    }
+
+    #[test]
+    fn input_gradients_leave_parameter_gradients_untouched() {
+        use crate::FeatureGradient;
+        let cfg = TinyResNetConfig::tiny_for_tests(4);
+        let mut net = TinyResNet::new(&cfg, &mut seeded_rng(32));
+        let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(33));
+        let before = seed_grads(&mut net);
+
+        let (_, g) = net.loss_input_grad(&x, &[1, 3]);
+        assert!(g.norm_linf() > 0.0);
+        let after: Vec<Vec<u32>> = net.params_mut().iter().map(|p| bits(&p.grad)).collect();
+        assert_eq!(after, before, "loss_input_grad moved a parameter gradient");
+
+        let other = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(34));
+        let target = net.features(&other);
+        let (_, g) = net.feature_loss_input_grad(&x, &target);
+        assert!(g.norm_linf() > 0.0);
+        let after: Vec<Vec<u32>> = net.params_mut().iter().map(|p| bits(&p.grad)).collect();
+        assert_eq!(after, before, "feature_loss_input_grad moved a parameter gradient");
+    }
+
+    #[test]
+    fn feature_loss_matches_a_forward_only_probe_bitwise() {
+        use crate::FeatureGradient;
+        let cfg = TinyResNetConfig::tiny_for_tests(3);
+        let mut net = TinyResNet::new(&cfg, &mut seeded_rng(35));
+        let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(36));
+        let other = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(37));
+        let target = net.features(&other);
+        let (loss, _) = net.feature_loss_input_grad(&x, &target);
+        let (probe, _) = feature_match_loss(&net.features(&x), &target);
+        assert_eq!(loss.to_bits(), probe.to_bits());
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //!
 //! The server speaks exactly the subset the serving API needs: `GET` with
 //! a path and query string, keep-alive and `Connection: close` semantics,
-//! JSON bodies. Headers beyond the request line and `Connection` are read
-//! (up to a hard cap) and ignored.
+//! JSON bodies. No route takes a request body: a head that announces one
+//! (`Content-Length` above zero, or any `Transfer-Encoding`) is answered
+//! 400 and the connection closed, because its unread body would otherwise
+//! be parsed as the next request head. Other headers are read (up to a
+//! hard cap) and ignored.
 //!
 //! Keep-alive support lives in two places here: [`Conn`] wraps a server
 //! stream with a carry buffer (bytes read past one request head are
@@ -43,6 +46,10 @@ pub(crate) struct Request {
     /// unless `Connection: close`; HTTP/1.0 defaults to `false` unless
     /// `Connection: keep-alive`.
     pub keep_alive: bool,
+    /// Whether the head announces a body: a `Content-Length` other than 0
+    /// (an unparsable one included) or any `Transfer-Encoding`. The server
+    /// never reads bodies, so it rejects such a request and closes.
+    pub has_body: bool,
 }
 
 impl Request {
@@ -151,7 +158,7 @@ fn head_end(bytes: &[u8]) -> Option<usize> {
 }
 
 /// Parses a full request head: the request line plus a scan of the header
-/// block for the `Connection` preference.
+/// block for the `Connection` preference and body framing.
 fn parse_head(head: &str) -> Option<Request> {
     let mut lines = head.lines();
     let line = lines.next()?;
@@ -164,15 +171,20 @@ fn parse_head(head: &str) -> Option<Request> {
     }
     let http11 = version != "HTTP/1.0";
     let mut keep_alive = http11;
+    let mut has_body = false;
     for header in lines {
         let Some((name, value)) = header.split_once(':') else { continue };
-        if name.trim().eq_ignore_ascii_case("connection") {
-            let value = value.trim();
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
             } else if value.eq_ignore_ascii_case("keep-alive") {
                 keep_alive = true;
             }
+        } else if name.eq_ignore_ascii_case("content-length") {
+            has_body |= value.parse::<u64>() != Ok(0);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            has_body = true;
         }
     }
     let (path, query_str) = match target.split_once('?') {
@@ -187,7 +199,7 @@ fn parse_head(head: &str) -> Option<Request> {
             None => (kv.to_owned(), String::new()),
         })
         .collect();
-    Some(Request { method, path: path.to_owned(), query, keep_alive })
+    Some(Request { method, path: path.to_owned(), query, keep_alive, has_body })
 }
 
 fn reason(status: u16) -> &'static str {
@@ -443,6 +455,19 @@ mod tests {
         assert!(!v10.keep_alive, "HTTP/1.0 defaults to close");
         let v10_keep = parse_head("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
         assert!(v10_keep.keep_alive, "header names and values are case-insensitive");
+    }
+
+    #[test]
+    fn body_framing_headers_mark_the_request() {
+        let has_body = |head: &str| parse_head(head).unwrap().has_body;
+        assert!(!has_body("GET / HTTP/1.1\r\nHost: x\r\n\r\n"));
+        assert!(!has_body("GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+        assert!(has_body("GET / HTTP/1.1\r\ncontent-length: 12\r\n\r\n"));
+        assert!(has_body("GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"));
+        assert!(has_body("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"));
+        assert!(has_body(
+            "GET / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n"
+        ));
     }
 
     #[test]

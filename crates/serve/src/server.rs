@@ -225,6 +225,7 @@ fn error_body(err: &ServeError) -> String {
 /// ```text
 /// READ(first: client timeout / later: idle deadline)
 ///   ├─ Closed / TimedOut / Malformed ──────────────► DROP
+///   ├─ Request announcing a body ───────── 400+close ► DROP
 ///   ├─ Request, follow-on & queue full ── 429+close ► DROP (mid-stream shed)
 ///   └─ Request ── route ── respond(keep?) ─┬─ keep ─► READ
 ///                                          └─ close ► DROP
@@ -251,6 +252,12 @@ fn handle_connection<M: ServeModel>(
             // nothing (more) to answer.
             ReadOutcome::Closed | ReadOutcome::TimedOut | ReadOutcome::Malformed => return Ok(()),
         };
+        if request.has_body {
+            // The body is never read, so where the next head starts is
+            // unknown: refuse the request and end the connection.
+            let err = ServeError::BadRequest { reason: "request bodies are not accepted".into() };
+            return respond_with(conn.stream(), err.status(), &error_body(&err), false, scratch);
+        }
         if served > 0 && queue.is_full() {
             // Mid-stream shed: this request never crossed the acceptor's
             // admission queue, so the overload check re-runs here.

@@ -2,6 +2,7 @@
 #![allow(dead_code)]
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::SeedableRng;
 use taamr_recsys::BprMf;
@@ -11,9 +12,14 @@ pub const USERS: usize = 16;
 pub const ITEMS: usize = 40;
 pub const FACTORS: usize = 8;
 
-/// A fresh, empty scratch directory unique to `name` (and this process).
+/// A fresh, empty scratch directory unique to `name`, this process and this
+/// call: tests sharing a fixture name run concurrently, and one must not
+/// wipe a directory another is writing snapshots into.
 pub fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("taamr-serve-{name}-{}", std::process::id()));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("taamr-serve-{name}-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir

@@ -186,6 +186,84 @@ fn connection_close_semantics_follow_the_http_version() {
     server.shutdown();
 }
 
+/// Reads until the server ends the stream; a reset after the server's
+/// final bytes also counts as the end.
+fn read_until_closed(raw: &mut std::net::TcpStream) -> (String, bool) {
+    use std::io::Read;
+    let mut out = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        match raw.read(&mut buf) {
+            Ok(0) => return (String::from_utf8_lossy(&out).into_owned(), true),
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {
+                return (String::from_utf8_lossy(&out).into_owned(), true)
+            }
+            Err(_) => return (String::from_utf8_lossy(&out).into_owned(), false),
+        }
+    }
+}
+
+#[test]
+fn a_request_body_is_refused_and_never_parsed_as_a_request() {
+    use std::io::Write;
+
+    let (server, _sup, _dir) = start();
+    let addr = server.addr();
+
+    // The body is itself a complete request head. Without body framing it
+    // stays in the connection's carry buffer and is served as a second
+    // request.
+    let smuggled = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let request = format!(
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(request.as_bytes()).unwrap();
+    let (text, closed) = read_until_closed(&mut raw);
+    assert!(closed, "the server must close after the 400: {text}");
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "exactly one response: {text}");
+    assert!(text.starts_with("HTTP/1.1 400 "), "response: {text}");
+    assert!(text.contains("Connection: close"), "response: {text}");
+    assert!(!text.contains("HTTP/1.1 200"), "the embedded request was served: {text}");
+
+    // Any Transfer-Encoding is refused the same way.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        .unwrap();
+    let (text, closed) = read_until_closed(&mut raw);
+    assert!(closed && text.starts_with("HTTP/1.1 400 "), "response: {text}");
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "exactly one response: {text}");
+
+    server.shutdown();
+}
+
+#[test]
+fn an_empty_content_length_keeps_the_connection_alive() {
+    use std::io::{Read, Write};
+
+    let (server, _sup, _dir) = start();
+    let addr = server.addr();
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n").unwrap();
+    let mut buf = [0u8; 2048];
+    let n = raw.read(&mut buf).unwrap();
+    let first = String::from_utf8_lossy(&buf[..n]).into_owned();
+    assert!(first.starts_with("HTTP/1.1 200 "), "response: {first}");
+    assert!(first.contains("Connection: keep-alive"), "response: {first}");
+    // The same connection serves a second request.
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    let (rest, closed) = read_until_closed(&mut raw);
+    assert!(closed && rest.starts_with("HTTP/1.1 200 "), "response: {rest}");
+    assert!(rest.contains(r#"{"ok":true}"#));
+
+    server.shutdown();
+}
+
 #[test]
 fn per_connection_request_cap_forces_a_clean_reconnect() {
     let dir = common::fresh_dir("http-cap");

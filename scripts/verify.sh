@@ -96,6 +96,19 @@ echo "== kernel audit: differential + golden GEMM tests (serial feature)"
 cargo test -p taamr-tensor --features serial -q \
     --test gemm_differential --test golden_kernel
 
+# nn audit: the CNN framework's contracts, including the input-only
+# backward — `Layer::backward_input` must return the same dX as the full
+# `backward` bit for bit and leave every parameter gradient untouched, and
+# the attack entry points (`loss_input_grad`, `feature_loss_input_grad`)
+# must leave the attacked network's gradients as they found them. Run under
+# the default (threaded) and `serial` builds so the two GEMM schedules can
+# never disagree on dX unnoticed.
+echo "== nn audit: layer + input-only backward tests (default features)"
+cargo test -p taamr-nn -q
+
+echo "== nn audit: layer + input-only backward tests (serial feature)"
+cargo test -p taamr-nn --features serial -q
+
 # Scoring audit: the GEMM-backed ScoringEngine's bitwise contract — block
 # scores, top-N lists and item ranks must match the scalar per-(user,item)
 # path exactly for every model family — run under the `serial` feature so
