@@ -6,15 +6,17 @@
 //! cache-blocked GEMM) from thread-level parallelism; results are bitwise
 //! identical between the paths, so the comparison is exact like-for-like.
 //! Each workload runs as a `<workload>/pointwise` vs `<workload>/engine`
-//! pair; their ratio is the engine's speedup.
+//! pair; their ratio is the engine's speedup. The `select/*` rows time
+//! top-K selection alone on one `catalog_sweep`-shaped row: K = 100, the
+//! whole catalog, and K = 100 of a row in ascending order.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taamr_data::{SyntheticConfig, SyntheticDataset};
 use taamr_recsys::{
-    Recommender, ScoreBlock, ScoringEngine, Vbpr, VbprConfig, VisualRecommender,
-    SCORE_BLOCK_USERS,
+    top_n_with, Recommender, ScoreBlock, ScoringEngine, SelectionScratch, Vbpr, VbprConfig,
+    VisualRecommender, SCORE_BLOCK_USERS,
 };
 
 fn dataset() -> SyntheticDataset {
@@ -112,6 +114,29 @@ fn bench_top_n(c: &mut Criterion) {
     });
 }
 
+fn bench_select(c: &mut Criterion) {
+    // One VBPR score row over the `catalog_sweep` catalog (20 000 items)
+    // with a user's handful of sorted seen items excluded.
+    let (ni, d) = (20_000, 48);
+    let mut rng = StdRng::seed_from_u64(5);
+    let m = Vbpr::new(2, ni, d, fake_features(ni, d), VbprConfig::default(), &mut rng);
+    let row = m.score_all(0);
+    let seen = [17, 2_311, 4_096, 9_999, 15_000, 19_998];
+    let mut scratch = SelectionScratch::new();
+    c.bench_function("select/top100_of_20000", |b| {
+        b.iter(|| std::hint::black_box(top_n_with(&row, 100, &seen, &mut scratch)));
+    });
+    // The whole catalog: `n` at least the number of candidates.
+    c.bench_function("select/top20000_of_20000", |b| {
+        b.iter(|| std::hint::black_box(top_n_with(&row, 20_000, &seen, &mut scratch)));
+    });
+    // Scores in ascending order: every score beats the ones before it.
+    let ascending: Vec<f32> = (0..ni).map(|i| i as f32).collect();
+    c.bench_function("select/top100_of_20000_ascending", |b| {
+        b.iter(|| std::hint::black_box(top_n_with(&ascending, 100, &seen, &mut scratch)));
+    });
+}
+
 fn bench_cache_rebuild(c: &mut Criterion) {
     let data = dataset();
     let mut m = model(&data);
@@ -142,6 +167,6 @@ fn bench_cache_rebuild(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_score_catalog, bench_top_n, bench_cache_rebuild
+    targets = bench_score_catalog, bench_top_n, bench_select, bench_cache_rebuild
 }
 criterion_main!(benches);

@@ -9,20 +9,34 @@
 //!
 //! Exclusion lists are treated as sets. Already-sorted, duplicate-free
 //! exclusion slices (which is what `ImplicitDataset::user_items` returns)
-//! are consumed by a direct merge walk with no copying at all; unsorted
-//! slices are normalised once into the scratch.
+//! are used in place; unsorted slices are normalised once into the
+//! scratch. Either way the row is walked as the gaps between excluded
+//! indices, so no index is tested against the exclusion list.
+//!
+//! # Order
+//!
+//! Selection and ranks share one total order: score descending, with
+//! `-0.0 == +0.0` and NaN below every number (`-inf` included), then the
+//! lower index first. [`top_n_with`] makes one pass over the row and keeps
+//! the best `min(n, candidates)` entries in a bounded unsorted buffer (cut
+//! back with a partial selection whenever it fills), then sorts only the
+//! survivors.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::scoring::ScoringEngine;
 use crate::Recommender;
 
 /// Reusable buffers for [`top_n_with`] / [`item_rank_with`]. The buffers
-/// grow to the high-water mark of the catalog and exclusion sizes and are
+/// grow to the high-water mark of the list and exclusion sizes and are
 /// then reused, so steady-state selection performs no allocation (beyond
 /// each returned top-N list itself).
 #[derive(Debug, Default)]
 pub struct SelectionScratch {
-    /// Non-excluded candidate indices for the current call.
-    candidates: Vec<usize>,
+    /// Candidates of the current [`top_n_with`] call, unsorted until the
+    /// end; never longer than twice the list being built.
+    best: Vec<Entry>,
     /// Normalised (sorted, deduplicated) exclusions, used only when the
     /// caller's exclusion slice is not already strictly increasing.
     exclude: Vec<usize>,
@@ -32,6 +46,29 @@ impl SelectionScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         SelectionScratch::default()
+    }
+}
+
+/// One kept candidate: its [`order_key`] and its index.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u32,
+    index: usize,
+}
+
+/// Maps a score to a `u32` whose unsigned order is the selection order of
+/// scores (higher key = listed first): `-0.0` and `+0.0` share a key, and
+/// every NaN gets key 0, below `-inf`'s key `0x007F_FFFF`.
+fn order_key(score: f32) -> u32 {
+    const SIGN: u32 = 1 << 31;
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    // Flip every bit of a negative score, only the sign of a positive one;
+    // done with a mask rather than a branch, since rows mix both signs.
+    let key = bits ^ (((bits as i32) >> 31) as u32 | SIGN);
+    if score.is_nan() {
+        0
+    } else {
+        key
     }
 }
 
@@ -49,11 +86,13 @@ fn normalised_exclude<'a>(exclude: &'a [usize], buf: &'a mut Vec<usize>) -> &'a 
     }
 }
 
-/// Descending-score comparator with deterministic lower-index tie-break.
-fn by_score_desc(scores: &[f32]) -> impl Fn(&usize, &usize) -> std::cmp::Ordering + '_ {
-    move |&a, &b| {
-        scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    }
+/// The maximal runs of `0..len` that `excluded` (strictly increasing)
+/// leaves uncovered, in ascending order; empty runs are skipped.
+fn gaps(excluded: &[usize], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let inside = &excluded[..excluded.partition_point(|&e| e < len)];
+    let starts = std::iter::once(0).chain(inside.iter().map(|&e| e + 1));
+    let ends = inside.iter().copied().chain(std::iter::once(len));
+    starts.zip(ends).map(|(start, end)| start..end).filter(|gap| !gap.is_empty())
 }
 
 /// Top-`n` recommendation lists for every user, computed on worker threads.
@@ -86,7 +125,8 @@ where
 }
 
 /// Returns the indices of the `n` highest scores, excluding `exclude`,
-/// ordered best-first. Ties break toward the lower index for determinism.
+/// ordered best-first. Ties break toward the lower index for determinism,
+/// and NaN scores come after every number (see the module's order).
 ///
 /// # Panics
 ///
@@ -117,34 +157,67 @@ pub fn top_n_with(
     scratch: &mut SelectionScratch,
 ) -> Vec<usize> {
     assert!(n > 0, "n must be positive");
-    let SelectionScratch { candidates, exclude: exclude_buf } = scratch;
+    let SelectionScratch { best, exclude: exclude_buf } = scratch;
     let excluded = normalised_exclude(exclude, exclude_buf);
-    // Merge walk: both the candidate range and the exclusions are ascending.
-    candidates.clear();
-    let mut e = 0;
-    for i in 0..scores.len() {
-        while e < excluded.len() && excluded[e] < i {
-            e += 1;
-        }
-        if e < excluded.len() && excluded[e] == i {
-            continue;
-        }
-        candidates.push(i);
-    }
-    let take = n.min(candidates.len());
+    let candidates = scores.len() - excluded.partition_point(|&e| e < scores.len());
+    let take = n.min(candidates);
+    best.clear();
     if take == 0 {
         return Vec::new();
     }
-    // Partial selection then exact sort of the selected prefix.
-    candidates.select_nth_unstable_by(take - 1, by_score_desc(scores));
-    let top = &mut candidates[..take];
-    top.sort_unstable_by(by_score_desc(scores));
-    top.to_vec()
+    // Newcomers are pushed unsorted. Whenever the buffer holds `2 * take`
+    // entries it is cut back to its best `take`, and from then on a score
+    // enters only if its key beats the worst survivor's: an equal key has a
+    // higher index and so ranks behind it. A cut costs O(take) and follows
+    // `take` pushes, so the pass is O(N + K log K) for every `n`.
+    const LANES: usize = 16;
+    let cap = 2 * take;
+    let mut floor = 0;
+    for gap in gaps(excluded, scores.len()) {
+        for (c, chunk) in scores[gap.clone()].chunks(LANES).enumerate() {
+            // Once the floor has risen, few chunks of a long row hold a
+            // newcomer; this test vectorises, the push loop below does not.
+            if !chunk.iter().fold(false, |any, &s| any | (order_key(s) >= floor)) {
+                continue;
+            }
+            for (index, &score) in (gap.start + c * LANES..).zip(chunk) {
+                let key = order_key(score);
+                if key >= floor {
+                    best.push(Entry { key, index });
+                    if best.len() == cap {
+                        // No key reaches `u32::MAX` (+inf maps to 0xFF80_0000).
+                        floor = keep_best(best, take) + 1;
+                    }
+                }
+            }
+        }
+    }
+    if best.len() > take {
+        keep_best(best, take);
+    }
+    best.sort_unstable_by(ahead);
+    best.iter().map(|e| e.index).collect()
+}
+
+/// Selection order of two kept entries: higher key first, then the lower
+/// index. Indices are unique, so no two entries compare equal.
+fn ahead(a: &Entry, b: &Entry) -> Ordering {
+    b.key.cmp(&a.key).then(a.index.cmp(&b.index))
+}
+
+/// Cuts `best` to its `take` best entries in no particular order and
+/// returns the key of the worst of them.
+fn keep_best(best: &mut Vec<Entry>, take: usize) -> u32 {
+    let (_, worst, _) = best.select_nth_unstable_by(take - 1, ahead);
+    let key = worst.key;
+    best.truncate(take);
+    key
 }
 
 /// 1-based rank of `item` among all non-excluded items for the given score
 /// vector (rank 1 = highest score). Returns `None` if `item` is excluded or
-/// out of range.
+/// out of range. Ties and NaN follow the module's order, so the rank is
+/// `item`'s position in a long enough [`top_n_indices`] list.
 ///
 /// Used for the paper's Fig. 2 ("rec. position: 180th → 14th").
 pub fn item_rank(scores: &[f32], item: usize, exclude: &[usize]) -> Option<usize> {
@@ -166,20 +239,17 @@ pub fn item_rank_with(
     if excluded.binary_search(&item).is_ok() {
         return None;
     }
-    let target = scores[item];
-    let mut e = 0;
-    let mut better = 0;
-    for (i, &s) in scores.iter().enumerate() {
-        while e < excluded.len() && excluded[e] < i {
-            e += 1;
-        }
-        if e < excluded.len() && excluded[e] == i {
-            continue;
-        }
-        if s > target || (s == target && i < item) {
-            better += 1;
-        }
-    }
+    let target = order_key(scores[item]);
+    // Lower indices win ties. Each gap splits into the part below `item`
+    // and the part above it; either may be empty.
+    let better: usize = gaps(excluded, scores.len())
+        .map(|gap| {
+            let below = &scores[gap.start..item.clamp(gap.start, gap.end)];
+            let above = &scores[(item + 1).clamp(gap.start, gap.end)..gap.end];
+            below.iter().filter(|&&s| order_key(s) >= target).count()
+                + above.iter().filter(|&&s| order_key(s) > target).count()
+        })
+        .sum();
     Some(better + 1)
 }
 

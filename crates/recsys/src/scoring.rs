@@ -384,19 +384,16 @@ impl ScoringEngine {
         let ni = plan.num_items;
         let ScoreBlock { users: out_users, scores, staging, scratch, .. } = out;
         *out_users = users.clone();
-        scores.reset_to_zeros(&[b, ni]);
         match plan.kind {
             PlanKind::Scalar => {
+                scores.reset_to_zeros(&[b, ni]);
                 let rows = scores.as_mut_slice();
                 for (r, u) in users.enumerate() {
                     model.score_into(u, &mut rows[r * ni..(r + 1) * ni]);
                 }
             }
             PlanKind::Gemm => {
-                let rows = scores.as_mut_slice();
-                for r in 0..b {
-                    rows[r * ni..(r + 1) * ni].copy_from_slice(&plan.static_term);
-                }
+                scores.reset_to_tiled_rows(&[b, ni], &plan.static_term);
                 for (t, term) in plan.terms.iter().enumerate() {
                     let user_rows = model.user_term_rows(t, users.clone());
                     assert_eq!(
@@ -455,19 +452,16 @@ impl ScoringEngine {
         let ni = plan.num_items;
         let ScoreBlock { users: out_users, scores, staging, scratch, .. } = out;
         *out_users = 0..b;
-        scores.reset_to_zeros(&[b, ni]);
         match plan.kind {
             PlanKind::Scalar => {
+                scores.reset_to_zeros(&[b, ni]);
                 let rows = scores.as_mut_slice();
                 for (r, &u) in users.iter().enumerate() {
                     model.score_into(u, &mut rows[r * ni..(r + 1) * ni]);
                 }
             }
             PlanKind::Gemm => {
-                let rows = scores.as_mut_slice();
-                for r in 0..b {
-                    rows[r * ni..(r + 1) * ni].copy_from_slice(&plan.static_term);
-                }
+                scores.reset_to_tiled_rows(&[b, ni], &plan.static_term);
                 for (t, term) in plan.terms.iter().enumerate() {
                     // Gather the batch's user factors row by row: the trait
                     // only promises borrowed slices for *contiguous* user

@@ -116,6 +116,37 @@ fn sweep_route_runs_a_sharded_catalog_pass_for_every_user() {
 }
 
 #[test]
+fn an_absurd_n_on_recommend_lists_every_unseen_item() {
+    let (server, sup, _dir) = start();
+    let (status, body) =
+        http_get(server.addr(), &format!("/recommend/bpr/0?n={}", usize::MAX)).unwrap();
+    assert_eq!(status, 200, "body: {body}");
+    let resp: TopNResponse = serde_json::from_str(&body).unwrap();
+    let seen = &common::seen_lists()[0];
+    assert_eq!(resp.items.len(), common::ITEMS - seen.len());
+    assert!(resp.items.iter().all(|i| !seen.contains(i)));
+    let direct = sup.top_n("bpr", 0, common::ITEMS, Duration::from_secs(5)).unwrap();
+    assert_eq!(resp.items, direct.items);
+    server.shutdown();
+}
+
+#[test]
+fn an_absurd_n_on_sweep_lists_every_unseen_item_for_every_user() {
+    let (server, _sup, _dir) = start();
+    let (status, body) =
+        http_get(server.addr(), &format!("/sweep/bpr?n={}", usize::MAX)).unwrap();
+    assert_eq!(status, 200, "body: {body}");
+    let sweep: SweepResponse = serde_json::from_str(&body).unwrap();
+    let seen = common::seen_lists();
+    assert_eq!(sweep.lists.len(), common::USERS);
+    for (user, list) in sweep.lists.iter().enumerate() {
+        assert_eq!(list.len(), common::ITEMS - seen[user].len(), "user {user}");
+        assert!(list.iter().all(|i| !seen[user].contains(i)), "user {user}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn keep_alive_reuses_one_connection_for_many_requests() {
     let (server, sup, _dir) = start();
     let mut client = HttpClient::new(server.addr());

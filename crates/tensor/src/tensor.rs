@@ -95,6 +95,30 @@ impl Tensor {
         self.shape = shape;
     }
 
+    /// Reshapes this tensor in place to `dims` and copies `row` into every
+    /// row (every run along the last axis), reusing the existing allocation
+    /// whenever it is large enough.
+    ///
+    /// Each element is written once, so a matrix that starts from a shared
+    /// row (the static item term of batched scoring) costs one pass rather
+    /// than [`Tensor::reset_to_zeros`] followed by a copy per row. Reuse vs.
+    /// growth is recorded in the same scratch telemetry counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is empty or `row.len()` differs from its last entry.
+    pub fn reset_to_tiled_rows(&mut self, dims: &[usize], row: &[f32]) {
+        let shape = Shape::new(dims);
+        assert_eq!(dims.last(), Some(&row.len()), "reset_to_tiled_rows row length mismatch");
+        crate::scratch::count_reuse(shape.len() > self.data.capacity());
+        self.data.clear();
+        let rows = if row.is_empty() { 0 } else { shape.len() / row.len() };
+        for _ in 0..rows {
+            self.data.extend_from_slice(row);
+        }
+        self.shape = shape;
+    }
+
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Self::zeros(&[n, n]);
@@ -369,6 +393,25 @@ mod tests {
         assert!(!t.all_finite());
         t.as_mut_slice()[1] = f32::INFINITY;
         assert!(!t.all_finite());
+    }
+
+    #[test]
+    fn reset_to_tiled_rows_copies_the_row_into_every_row() {
+        let mut t = Tensor::full(&[4, 4], 9.0);
+        t.reset_to_tiled_rows(&[3, 2], &[1.0, -0.0]);
+        assert_eq!(t.dims(), &[3, 2]);
+        let bits: Vec<u32> = t.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [1.0f32, -0.0].repeat(3).iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        t.reset_to_tiled_rows(&[0, 5], &[1.0; 5]);
+        assert!(t.as_slice().is_empty());
+        t.reset_to_tiled_rows(&[2, 0], &[]);
+        assert_eq!(t.dims(), &[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reset_to_tiled_rows row length mismatch")]
+    fn reset_to_tiled_rows_rejects_a_mis_sized_row() {
+        Tensor::zeros(&[1]).reset_to_tiled_rows(&[2, 3], &[1.0, 2.0]);
     }
 
     #[test]

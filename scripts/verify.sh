@@ -111,11 +111,12 @@ cargo test -p taamr-nn --features serial -q
 
 # Scoring audit: the GEMM-backed ScoringEngine's bitwise contract — block
 # scores, top-N lists and item ranks must match the scalar per-(user,item)
-# path exactly for every model family — run under the `serial` feature so
+# path exactly for every model family — and selection's total order (NaN
+# last, against a full-sort reference) run under the `serial` feature so
 # the reference schedule is what gets checked (the threaded schedules are
 # covered by the same tests in the workspace pass above).
-echo "== scoring audit: differential engine tests (serial feature)"
-cargo test -p taamr-recsys --features serial -q --test scoring
+echo "== scoring audit: differential engine + selection tests (serial feature)"
+cargo test -p taamr-recsys --features serial -q --test scoring --test selection
 
 # Attack audit: the unified Attack abstraction's contracts — every attacker
 # family (white-box pixel, black-box SPSA, embedding-space) stays inside its
