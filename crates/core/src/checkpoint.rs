@@ -5,14 +5,18 @@
 //! a temporary file, then a rename — and carries a one-line JSON header with
 //! the checkpoint schema version, a fingerprint of the pipeline
 //! configuration, and an FNV-1a checksum of the payload bytes. A checkpoint
-//! only loads if all three match; anything else (truncation, bit flips,
-//! schema drift, a different configuration) is detected, the stale file is
-//! deleted, and the stage re-runs.
+//! only loads if all three match and the payload decodes; anything else
+//! (truncation, bit flips, schema drift, a different configuration, a
+//! malformed body) is detected, the stale file is deleted, and the stage
+//! re-runs.
 //!
-//! Checkpoint payloads are JSON. The vendored `serde_json` prints every
-//! float with shortest-round-trip formatting, so `f32` model weights restore
-//! bit-exactly and a resumed run is bitwise identical to an uninterrupted
-//! one.
+//! After the header's newline comes a binary body: a tagged encoding of the
+//! payload's serde [`Value`](serde::Value) tree in which float arrays are
+//! packed `f32`s and lone floats are their `f64` bits (see the private
+//! `body` module). Saving and loading a model therefore formats and parses
+//! no float text, every `f32` number — ±∞ included — restores bit for bit
+//! (NaN restores as NaN), and a resumed run is bitwise identical to an
+//! uninterrupted one.
 
 use std::fmt;
 use std::fs;
@@ -21,11 +25,15 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+mod body;
+
 /// Version of the checkpoint format; bump on any layout change so stale
 /// checkpoints from older builds are rejected instead of misread.
 /// Version 2: the attack grid gained black-box and embedding-space cells,
 /// so cell checkpoints from version-1 runs cover a different grid.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Version 3: the JSON payload became the binary body, so JSON-era files
+/// are discarded and recomputed.
+pub const SCHEMA_VERSION: u32 = 3;
 
 // The workspace's one FNV-1a definition now lives in `taamr-replay` (which
 // also hashes model/attack artifacts with it); re-exported here so existing
@@ -81,7 +89,7 @@ struct Header {
     schema: u32,
     /// Hex fingerprint of the pipeline configuration.
     fingerprint: String,
-    /// Hex FNV-1a checksum of the payload bytes.
+    /// Hex FNV-1a checksum of the body bytes.
     checksum: String,
 }
 
@@ -125,26 +133,28 @@ impl RunDir {
         self.stage_path(stage).exists()
     }
 
-    /// Atomically persists a stage checkpoint: header line + JSON payload,
+    /// Atomically persists a stage checkpoint: header line + binary body,
     /// written to a temporary file and renamed into place, so a crash
     /// mid-write never leaves a half-valid checkpoint under the final name.
     ///
     /// # Errors
     ///
-    /// Returns an error if serialisation or any filesystem step fails.
+    /// Returns an error if the payload nests too deeply to encode or any
+    /// filesystem step fails.
     pub fn save_stage<T: Serialize>(&self, stage: &str, payload: &T) -> Result<(), CheckpointError> {
-        let body = serde_json::to_string(payload)
-            .map_err(|_| CheckpointError::Serialize { stage: stage.to_owned() })?;
+        let serialize_err = || CheckpointError::Serialize { stage: stage.to_owned() };
+        let body = body::encode(&payload.to_json_value()).ok_or_else(serialize_err)?;
         let header = Header {
             schema: SCHEMA_VERSION,
             fingerprint: self.fingerprint.clone(),
-            checksum: format!("{:016x}", fnv1a64(body.as_bytes())),
+            checksum: format!("{:016x}", fnv1a64(&body)),
         };
-        let header_line = serde_json::to_string(&header)
-            .map_err(|_| CheckpointError::Serialize { stage: stage.to_owned() })?;
+        let header_line = serde_json::to_string(&header).map_err(|_| serialize_err())?;
         let final_path = self.stage_path(stage);
         let tmp_path = self.dir.join(format!("{stage}.ckpt.tmp"));
-        let contents = format!("{header_line}\n{body}");
+        let mut contents = header_line.into_bytes();
+        contents.push(b'\n');
+        contents.extend_from_slice(&body);
         fs::write(&tmp_path, contents)
             .map_err(|source| CheckpointError::Io { path: tmp_path.clone(), source })?;
         fs::rename(&tmp_path, &final_path)
@@ -156,8 +166,9 @@ impl RunDir {
     ///
     /// Returns `None` — after **deleting** the stale file — when the file is
     /// missing, truncated, fails the checksum, carries another schema
-    /// version, or was written under a different configuration. A `None`
-    /// simply means "re-run this stage".
+    /// version, was written under a different configuration, or holds a
+    /// body that does not decode into `T`. A `None` simply means "re-run
+    /// this stage".
     pub fn load_stage<T: Deserialize>(&self, stage: &str) -> Option<T> {
         let loaded = self.load_stage_inner(stage);
         taamr_obs::incr(if loaded.is_some() {
@@ -169,18 +180,19 @@ impl RunDir {
     }
 
     fn load_stage_inner<T: Deserialize>(&self, stage: &str) -> Option<T> {
-        let path = self.stage_path(stage);
-        let contents = fs::read_to_string(&path).ok()?;
-        match self.validate(&contents) {
-            Some(payload) => match serde_json::from_str(payload) {
-                Ok(value) => Some(value),
-                Err(_) => {
-                    self.discard(stage, "payload does not deserialise");
-                    None
-                }
-            },
-            None => {
-                self.discard(stage, "header, schema, fingerprint or checksum mismatch");
+        let contents = fs::read(self.stage_path(stage)).ok()?;
+        let Some(body) = self.validate(&contents) else {
+            self.discard(stage, "header, schema, fingerprint or checksum mismatch");
+            return None;
+        };
+        let Some(value) = body::decode(body) else {
+            self.discard(stage, "malformed body");
+            return None;
+        };
+        match T::from_json_value(&value) {
+            Ok(payload) => Some(payload),
+            Err(_) => {
+                self.discard(stage, "payload does not deserialise");
                 None
             }
         }
@@ -204,14 +216,15 @@ impl RunDir {
         Ok(final_path)
     }
 
-    /// Splits and validates header + payload; returns the payload slice only
-    /// if every header field matches.
-    fn validate<'a>(&self, contents: &'a str) -> Option<&'a str> {
-        let (header_line, body) = contents.split_once('\n')?;
-        let header: Header = serde_json::from_str(header_line).ok()?;
+    /// Splits and validates header + body; returns the body only if every
+    /// header field matches.
+    fn validate<'a>(&self, contents: &'a [u8]) -> Option<&'a [u8]> {
+        let newline = contents.iter().position(|&b| b == b'\n')?;
+        let (header_line, body) = (&contents[..newline], &contents[newline + 1..]);
+        let header: Header = serde_json::from_slice(header_line).ok()?;
         if header.schema != SCHEMA_VERSION
             || header.fingerprint != self.fingerprint
-            || header.checksum != format!("{:016x}", fnv1a64(body.as_bytes()))
+            || header.checksum != format!("{:016x}", fnv1a64(body))
         {
             return None;
         }
@@ -328,5 +341,212 @@ mod tests {
     fn fingerprints_differ_per_config() {
         assert_ne!(config_fingerprint(&1u32), config_fingerprint(&2u32));
         assert_eq!(config_fingerprint(&1u32), config_fingerprint(&1u32));
+    }
+
+    // --- hostile bodies -------------------------------------------------
+    //
+    // Each case plants a body under a valid header with a recomputed
+    // checksum, so the decoder (not the checksum) is what must reject it.
+    // Random cases come from a 32-bit LCG seeded per case: a failure names
+    // its seed, and the seed replays it.
+
+    const HOSTILE_SEED: u64 = 0x7a61_6d72;
+
+    struct DetRng {
+        state: u32,
+    }
+
+    impl DetRng {
+        fn from_seed(seed: u64) -> Self {
+            DetRng { state: (seed as u32).wrapping_mul(747_796_405) ^ 2_891_336_453 }
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            self.state = self.state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            self.state as usize % n
+        }
+    }
+
+    /// Writes `body` as `stage` under a header with the run's fingerprint,
+    /// the given schema and a checksum that matches the body.
+    fn plant(run: &RunDir, stage: &str, schema: u32, body: &[u8]) -> PathBuf {
+        let header = Header {
+            schema,
+            fingerprint: run.fingerprint.clone(),
+            checksum: format!("{:016x}", fnv1a64(body)),
+        };
+        let mut contents = serde_json::to_string(&header).unwrap().into_bytes();
+        contents.push(b'\n');
+        contents.extend_from_slice(body);
+        let path = run.stage_path(stage);
+        fs::write(&path, contents).unwrap();
+        path
+    }
+
+    /// A planted body must load as `None` and leave no file behind.
+    fn assert_discarded(run: &RunDir, body: &[u8], case: &str) {
+        let path = plant(run, "hostile", SCHEMA_VERSION, body);
+        assert!(run.load_stage::<Payload>("hostile").is_none(), "{case}: hostile body loaded");
+        assert!(!path.exists(), "{case}: hostile checkpoint must be deleted");
+    }
+
+    /// As [`assert_discarded`], and the decoder itself refuses the body.
+    fn assert_undecodable(run: &RunDir, body: &[u8], case: &str) {
+        assert!(body::decode(body).is_none(), "{case}: decoder accepted a hostile body");
+        assert_discarded(run, body, case);
+    }
+
+    fn valid_body() -> Vec<u8> {
+        body::encode(&payload().to_json_value()).unwrap()
+    }
+
+    fn tagged_len(tag: u8, len: u64) -> Vec<u8> {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip_bit_exactly() {
+        let run = RunDir::open(scratch("non-finite"), &1u32).unwrap();
+        let weights = vec![f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::NAN];
+        run.save_stage("w", &Payload { weights: weights.clone(), label: String::new() }).unwrap();
+        let back: Payload = run.load_stage("w").unwrap();
+        let bits = |ws: &[f32]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.weights), bits(&weights));
+    }
+
+    #[test]
+    fn hostile_truncation_at_every_offset_is_discarded() {
+        let run = RunDir::open(scratch("hostile-truncate"), &1u32).unwrap();
+        run.save_stage("full", &payload()).unwrap();
+        let file = fs::read(run.stage_path("full")).unwrap();
+        // The file cut short: the header or the checksum rejects it.
+        for keep in 0..file.len() {
+            let path = run.stage_path("cut");
+            fs::write(&path, &file[..keep]).unwrap();
+            assert!(run.load_stage::<Payload>("cut").is_none(), "file cut at {keep} loaded");
+            assert!(!path.exists(), "file cut at {keep} survived");
+        }
+        // The body cut short under a matching checksum: the decoder does.
+        let body = valid_body();
+        for keep in 0..body.len() {
+            assert_undecodable(&run, &body[..keep], &format!("body cut at {keep}"));
+        }
+    }
+
+    #[test]
+    fn hostile_bit_flips_under_a_recomputed_checksum_are_discarded() {
+        let run = RunDir::open(scratch("hostile-flip"), &1u32).unwrap();
+        let body = valid_body();
+        // Pin the layout: object{2} · "weights" · f32[4] (bytes 33..49) ·
+        // "label" · str{5} (bytes 71..76). A flip inside the packed floats
+        // or the label's characters is another valid payload; every other
+        // byte is a tag, a length or a key, and a flip there must not load.
+        assert_eq!(body.len(), 76);
+        let tags = (body::TAG_OBJECT, body::TAG_F32_ARRAY, body::TAG_STR);
+        assert_eq!((body[0], body[24], body[62]), tags);
+        let structural: Vec<usize> =
+            (0..body.len()).filter(|i| !(33..49).contains(i) && !(71..76).contains(i)).collect();
+        for case in 0..256 {
+            let seed = HOSTILE_SEED + case;
+            let mut rng = DetRng::from_seed(seed);
+            let offset = structural[rng.below(structural.len())];
+            let bit = rng.below(8);
+            let mut flipped = body.clone();
+            flipped[offset] ^= 1 << bit;
+            assert_discarded(&run, &flipped, &format!("seed {seed}: byte {offset} bit {bit}"));
+        }
+    }
+
+    #[test]
+    fn hostile_random_bodies_are_discarded() {
+        let run = RunDir::open(scratch("hostile-random"), &1u32).unwrap();
+        for case in 0..256 {
+            let seed = HOSTILE_SEED + 1_000 + case;
+            let mut rng = DetRng::from_seed(seed);
+            // Half the bytes are valid tags, so decoding gets past the root.
+            let body: Vec<u8> = (0..rng.below(64))
+                .map(|_| {
+                    if rng.below(2) == 0 {
+                        rng.below(usize::from(body::TAG_F32_ARRAY) + 1) as u8
+                    } else {
+                        rng.below(256) as u8
+                    }
+                })
+                .collect();
+            assert_discarded(&run, &body, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn hostile_length_fields_and_nesting_bombs_are_discarded() {
+        let run = RunDir::open(scratch("hostile-lengths"), &1u32).unwrap();
+        // Lengths far past the two bytes that follow. Each would abort the
+        // test process if the decoder sized an allocation by it; the
+        // `/ 4 + 1` and `/ 9 + 1` values overflow an unchecked byte count.
+        for len in [u64::MAX, u64::MAX / 4 + 1, u64::MAX / 9 + 1, 1 << 40] {
+            for tag in [body::TAG_STR, body::TAG_ARRAY, body::TAG_OBJECT, body::TAG_F32_ARRAY] {
+                let mut bytes = tagged_len(tag, len);
+                bytes.extend_from_slice(&[body::TAG_NULL, body::TAG_NULL]);
+                assert_undecodable(&run, &bytes, &format!("tag {tag} length {len}"));
+            }
+        }
+        let mut huge_key = tagged_len(body::TAG_OBJECT, 1);
+        huge_key.extend_from_slice(&u64::MAX.to_le_bytes());
+        huge_key.push(body::TAG_NULL);
+        assert_undecodable(&run, &huge_key, "key length u64::MAX");
+
+        // 100 000 nested one-element arrays: without the depth cap the
+        // decoder's recursion would overflow the stack.
+        let mut bomb = tagged_len(body::TAG_ARRAY, 1).repeat(100_000);
+        bomb.push(body::TAG_NULL);
+        assert_undecodable(&run, &bomb, "nesting bomb");
+        let mut at_cap = tagged_len(body::TAG_ARRAY, 1).repeat(body::MAX_DEPTH - 1);
+        at_cap.push(body::TAG_NULL);
+        assert!(body::decode(&at_cap).is_some(), "nesting up to the cap decodes");
+    }
+
+    #[test]
+    fn hostile_utf8_unknown_tags_and_trailing_bytes_are_discarded() {
+        let run = RunDir::open(scratch("hostile-misc"), &1u32).unwrap();
+        let mut bad_key = tagged_len(body::TAG_OBJECT, 1);
+        bad_key.extend_from_slice(&2u64.to_le_bytes());
+        bad_key.extend_from_slice(&[0xff, 0xfe, body::TAG_NULL]);
+        assert_undecodable(&run, &bad_key, "invalid UTF-8 key");
+
+        let mut bad_str = tagged_len(body::TAG_STR, 1);
+        bad_str.push(0x80);
+        assert_undecodable(&run, &bad_str, "invalid UTF-8 string");
+
+        for tag in body::TAG_F32_ARRAY + 1..=u8::MAX {
+            assert_undecodable(&run, &[tag], &format!("unknown tag {tag}"));
+        }
+
+        let mut trailing = valid_body();
+        trailing.push(body::TAG_NULL);
+        assert_undecodable(&run, &trailing, "trailing byte");
+        assert_undecodable(&run, &valid_body().repeat(2), "two bodies back to back");
+    }
+
+    // --- stale formats --------------------------------------------------
+
+    #[test]
+    fn schema_2_json_checkpoint_is_discarded_and_the_stage_recomputes() {
+        let run = RunDir::open(scratch("stale-json"), &1u32).unwrap();
+        // What a schema-2 build wrote: the same header over a JSON payload.
+        let json = serde_json::to_string(&payload()).unwrap();
+        let path = plant(&run, "cnn", 2, json.as_bytes());
+        assert!(run.load_stage::<Payload>("cnn").is_none(), "a schema-2 checkpoint must not load");
+        assert!(!path.exists(), "the stale checkpoint is deleted");
+
+        // A JSON payload under the current schema number fails to decode.
+        let path = plant(&run, "cnn", SCHEMA_VERSION, json.as_bytes());
+        assert!(run.load_stage::<Payload>("cnn").is_none());
+        assert!(!path.exists());
+
+        // The re-run stage saves and loads in the current format.
+        run.save_stage("cnn", &payload()).unwrap();
+        assert_eq!(run.load_stage::<Payload>("cnn"), Some(payload()));
     }
 }

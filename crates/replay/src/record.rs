@@ -1,8 +1,8 @@
 //! The on-disk experiment record: schema-versioned command streams.
 //!
-//! A record file mirrors the PR-2 checkpoint layout — a one-line JSON
-//! header carrying the schema version and an FNV-1a checksum of the
-//! payload, a newline, then the JSON payload — and is written atomically
+//! A record file starts like a checkpoint — a one-line JSON header carrying
+//! the schema version and an FNV-1a checksum of the payload, then a newline
+//! — but its payload stays JSON text, and it is written atomically
 //! (temporary file + rename). Unlike checkpoints, an invalid record is
 //! *never* silently deleted and re-run: records are evidence, so every
 //! failure mode surfaces as a typed [`RecordError`].

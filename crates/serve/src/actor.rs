@@ -99,8 +99,6 @@ pub(crate) enum ActorMsg {
         shard_users: Option<usize>,
         reply: Sender<Result<SweepResponse, ServeError>>,
     },
-    /// Hand back the actor's serialised state for a snapshot.
-    State { reply: Sender<(String, u64)> },
     /// Chaos: die immediately, dropping everything still queued.
     Crash,
     /// Finish the messages already queued ahead of this one, then exit.
@@ -227,11 +225,6 @@ fn run<M: ServeModel>(spec: ActorSpec<M>, rx: Receiver<ActorMsg>) {
                     }
                     // Same crash protocol as TopN: die, let supervision heal.
                     Err(_) => return,
-                }
-            }
-            ActorMsg::State { reply } => {
-                if let Ok(json) = serde_json::to_string(&model) {
-                    let _ = reply.send((json, model_version));
                 }
             }
             ActorMsg::Crash => return,

@@ -85,9 +85,10 @@ use taamr_recsys::Recommender;
 
 /// What a model must be to live in a serving slot: scoreable, owned by an
 /// actor thread, cloneable for swaps, and serde-round-trippable for
-/// snapshots (the serde shim's shortest-round-trip floats make that
-/// round trip bit-exact, which is what the byte-identical recovery
-/// guarantee rests on).
+/// snapshots. The snapshot body stores every float by its bits (packed
+/// `f32` arrays, `f64` scalars), so that round trip is bit-exact for every
+/// number, ±∞ included, and NaN restores as NaN — which is what the
+/// byte-identical recovery guarantee rests on.
 pub trait ServeModel: Recommender + Serialize + Deserialize + Clone + Send + 'static {}
 
 impl<T: Recommender + Serialize + Deserialize + Clone + Send + 'static> ServeModel for T {}

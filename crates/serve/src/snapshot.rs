@@ -4,17 +4,22 @@
 //! checkpoints named `gen-<k>`. Writes go through the run dir's atomic
 //! temp-file + rename path, so a crash mid-write never leaves a half-valid
 //! newest generation. Restores walk generations newest-first: a corrupt
-//! file (bit rot, torn write, injected [`FaultSite::ServeSnapshotCorrupt`])
-//! fails the checksum, is deleted, and the walk falls back to the previous
-//! good generation — recovery degrades by one snapshot instead of panicking.
+//! or stale file (bit rot, torn write, injected
+//! [`FaultSite::ServeSnapshotCorrupt`], a JSON-era generation from an older
+//! checkpoint schema) fails validation, is deleted, and the walk falls back
+//! to the previous good generation — recovery degrades by one snapshot
+//! instead of panicking.
 //!
-//! Model payloads are stored as a nested JSON string. The serde shim prints
-//! floats shortest-round-trip, so an `f32` written here restores bit-exact:
-//! that is what makes post-restart scores byte-identical.
+//! A generation is one run-dir checkpoint whose payload is `{version,
+//! model}`: the model's serde tree sits directly in the binary checkpoint
+//! body, with its float arrays packed as `f32`. An `f32` written here —
+//! ±∞ included — restores bit-exact (NaN as NaN), which is what makes
+//! post-restart scores byte-identical, and neither a save nor a restore
+//! formats or parses float text.
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use taamr::checkpoint::RunDir;
 use taamr_fault::FaultSite;
 
@@ -32,14 +37,35 @@ struct SlotTag {
     slot: String,
 }
 
-/// What actually goes into a `gen-<k>` checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SnapshotPayload {
+/// What goes into a `gen-<k>` checkpoint: `SnapshotPayload<&M>` on save,
+/// `SnapshotPayload<M>` on restore. (The derive shim takes no generics,
+/// hence the hand-written impls.)
+struct SnapshotPayload<M> {
     /// Model version the snapshot captures (the supervisor's version gate).
     version: u64,
-    /// The model itself, serialised to JSON by the caller. Nesting it as a
-    /// string keeps the store non-generic and the checksum end-to-end.
-    model_json: String,
+    /// The model itself.
+    model: M,
+}
+
+impl<M: Serialize> Serialize for SnapshotPayload<M> {
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("version".to_owned(), self.version.to_json_value()),
+            ("model".to_owned(), self.model.to_json_value()),
+        ])
+    }
+}
+
+impl<M: Deserialize> Deserialize for SnapshotPayload<M> {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
+            match v.get_field(name) {
+                Some(field) => T::from_json_value(field),
+                None => T::missing_field(name),
+            }
+        }
+        Ok(SnapshotPayload { version: field(v, "version")?, model: field(v, "model")? })
+    }
 }
 
 /// A successfully restored snapshot.
@@ -108,20 +134,17 @@ impl SnapshotStore {
         gens
     }
 
-    /// Writes the next generation. The model arrives pre-serialised so the
-    /// store stays non-generic (actors hand their state over as JSON).
-    /// After a successful write, generations older than the newest
-    /// [`SNAPSHOT_KEEP`] are pruned.
+    /// Writes `model` as the next generation. After a successful write,
+    /// generations older than the newest [`SNAPSHOT_KEEP`] are pruned.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Snapshot`] when serialisation or any
     /// filesystem step fails. The previous generations are untouched.
-    pub fn save_json(&mut self, model_json: &str, version: u64) -> Result<u64, ServeError> {
+    pub fn save<M: Serialize>(&mut self, model: &M, version: u64) -> Result<u64, ServeError> {
         let generation = self.generations().last().map_or(0, |g| g + 1);
         let stage = stage_name(generation);
-        let payload =
-            SnapshotPayload { version, model_json: model_json.to_owned() };
+        let payload = SnapshotPayload { version, model };
         self.run.save_stage(&stage, &payload).map_err(|e| ServeError::Snapshot {
             slot: self.slot.clone(),
             detail: e.to_string(),
@@ -139,19 +162,6 @@ impl SnapshotStore {
         Ok(generation)
     }
 
-    /// Serialises `state` and writes it as the next generation.
-    ///
-    /// # Errors
-    ///
-    /// See [`SnapshotStore::save_json`].
-    pub fn save<M: Serialize>(&mut self, model: &M, version: u64) -> Result<u64, ServeError> {
-        let json = serde_json::to_string(model).map_err(|e| ServeError::Snapshot {
-            slot: self.slot.clone(),
-            detail: format!("model serialisation failed: {e}"),
-        })?;
-        self.save_json(&json, version)
-    }
-
     /// Restores the newest usable generation, skipping (and deleting)
     /// corrupt ones.
     ///
@@ -165,24 +175,20 @@ impl SnapshotStore {
         let tried = gens.len();
         let mut skipped = Vec::new();
         for generation in gens {
-            let stage = stage_name(generation);
-            // `load_stage` validates schema, fingerprint and checksum, and
-            // deletes the file when any of them fail.
-            let Some(payload) = self.run.load_stage::<SnapshotPayload>(&stage) else {
-                skipped.push(generation);
-                continue;
-            };
-            match serde_json::from_str::<M>(&payload.model_json) {
-                Ok(model) => {
-                    return Ok(Restored { model, version: payload.version, generation, skipped })
+            // `load_stage` validates schema, fingerprint and checksum, decodes
+            // the body into the model type, and deletes the file when any of
+            // that fails (bit rot, a torn write, an older format, a model of
+            // another type).
+            match self.run.load_stage::<SnapshotPayload<M>>(&stage_name(generation)) {
+                Some(payload) => {
+                    return Ok(Restored {
+                        model: payload.model,
+                        version: payload.version,
+                        generation,
+                        skipped,
+                    })
                 }
-                Err(_) => {
-                    // Checksum passed but the nested model is unreadable
-                    // (e.g. written by an incompatible model type): treat
-                    // as corrupt and keep falling back.
-                    let _ = std::fs::remove_file(self.run.stage_path(&stage));
-                    skipped.push(generation);
-                }
+                None => skipped.push(generation),
             }
         }
         Err(ServeError::Snapshot {

@@ -397,28 +397,6 @@ impl<M: ServeModel> Supervisor<M> {
         Ok(version)
     }
 
-    /// Snapshots a slot's live actor state on demand. Returns the
-    /// generation written.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::SlotNotFound`] / [`ServeError::SlotUnavailable`] /
-    /// [`ServeError::Snapshot`] as named.
-    pub fn snapshot_now(&self, slot_name: &str) -> Result<u64, ServeError> {
-        let slot = self.slot(slot_name)?;
-        let tx = lock(&slot.state).tx.clone();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let down = || ServeError::SlotUnavailable {
-            slot: slot.name.clone(),
-            reason: "actor down during snapshot".to_owned(),
-        };
-        tx.send(ActorMsg::State { reply: reply_tx }).map_err(|_| down())?;
-        let (model_json, version) = reply_rx.recv().map_err(|_| down())?;
-        let generation = lock(&slot.store).save_json(&model_json, version)?;
-        self.accountant.snapshot_write();
-        Ok(generation)
-    }
-
     /// Chaos hook: asks a slot's actor to die immediately (queued requests
     /// included). The next request observes the crash and triggers
     /// recovery — this is what the bench's crash storm calls.

@@ -154,10 +154,11 @@ cargo run -q --release -p taamr-bench --features taamr/serial --bin replay -- \
 # workspace pass above already ran every serve test once under the default
 # features.)
 echo "== serve audit: supervision + swap + hot-path tests (default features)"
-cargo test -p taamr-serve -q --test supervision --test swap --test hot_path
+cargo test -p taamr-serve -q --test supervision --test swap --test hot_path --test snapshot_recovery
 
 echo "== serve audit: supervision + swap + hot-path tests (serial feature)"
-cargo test -p taamr-serve --features serial -q --test supervision --test swap --test hot_path
+cargo test -p taamr-serve --features serial -q --test supervision --test swap --test hot_path \
+    --test snapshot_recovery
 
 # Scale audit: sharded scoring must be bitwise invisible — the shard-
 # streaming drivers and the default-plan drivers land on identical lists

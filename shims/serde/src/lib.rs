@@ -164,10 +164,10 @@ macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_json_value(&self) -> Value {
-                let f = *self as f64;
-                // JSON has no NaN/Infinity literal; upstream serde_json emits
-                // null for them too.
-                if f.is_finite() { Value::Float(f) } else { Value::Null }
+                // Non-finite values stay floats in the tree, so binary
+                // encodings of it keep them; `serde_json` renders them as
+                // `null`, as upstream does.
+                Value::Float(*self as f64)
             }
         }
         impl Deserialize for $t {
@@ -302,6 +302,16 @@ mod tests {
         assert!(usize::from_json_value(&Value::Float(5.5)).is_err());
         assert!(u8::from_json_value(&Value::UInt(300)).is_err());
         assert!(f32::from_json_value(&Value::Null).unwrap().is_nan());
+    }
+
+    #[test]
+    fn non_finite_floats_stay_floats_in_the_tree() {
+        for f in [f32::INFINITY, f32::NEG_INFINITY] {
+            let back = f32::from_json_value(&f.to_json_value()).unwrap();
+            assert_eq!(back.to_bits(), f.to_bits());
+        }
+        assert!(f32::from_json_value(&f32::NAN.to_json_value()).unwrap().is_nan());
+        assert_eq!(f64::NEG_INFINITY.to_json_value(), Value::Float(f64::NEG_INFINITY));
     }
 
     #[test]

@@ -51,7 +51,11 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 fn render_number(f: f64, out: &mut String) {
-    if f == f.trunc() && f.abs() < 1e15 {
+    if !f.is_finite() {
+        // JSON has no NaN/Infinity literal; upstream serde_json emits null
+        // for them too.
+        out.push_str("null");
+    } else if f == f.trunc() && f.abs() < 1e15 {
         // Keep integral floats recognisable and compact ("2" not "2.0" is
         // what upstream emits for integers; for floats it emits "2.0" — we
         // preserve the fractional marker so round-trips stay floats).
@@ -437,6 +441,15 @@ mod tests {
         assert!(from_str::<u32>("12 34").is_err());
         assert!(from_str::<u32>("\"unterminated").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        assert_eq!(to_string(&f32::INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&f32::NEG_INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&vec![1.0f32, f32::NAN]).unwrap(), "[1.0,null]");
+        assert!(from_str::<f32>("null").unwrap().is_nan());
     }
 
     #[test]
