@@ -8,7 +8,11 @@
 //! Each workload runs as a `<workload>/pointwise` vs `<workload>/engine`
 //! pair; their ratio is the engine's speedup. The `select/*` rows time
 //! top-K selection alone on one `catalog_sweep`-shaped row: K = 100, the
-//! whole catalog, and K = 100 of a row in ascending order.
+//! whole catalog, and K = 100 of a row in ascending order. The
+//! `gather/one_user_of_10000` and `score_block/64_users_of_20000` rows time
+//! the engine's two scoring calls alone at the serving shapes (VBPR,
+//! feature and factor dims 16): a `recommend_churn` cache miss and one
+//! user block of a `catalog_sweep`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -137,6 +141,43 @@ fn bench_select(c: &mut Criterion) {
     });
 }
 
+/// A VBPR model of the serving workloads' shape: feature dim 16 and the
+/// default 16 + 16 factors.
+fn serving_model(users: usize, items: usize) -> Vbpr {
+    let d = 16;
+    let mut rng = StdRng::seed_from_u64(7);
+    Vbpr::new(users, items, d, fake_features(items, d), VbprConfig::default(), &mut rng)
+}
+
+fn bench_serving_shapes(c: &mut Criterion) {
+    let m = serving_model(2_000, 10_000);
+    c.bench_function("gather/one_user_of_10000", |b| {
+        rayon::with_threads(1, || {
+            let engine = ScoringEngine::for_model(&m);
+            let mut block = ScoreBlock::new();
+            let mut user = 0;
+            b.iter(|| {
+                user = (user + 7) % m.num_users();
+                engine.score_gather(&m, &[user], &mut block).unwrap();
+                std::hint::black_box(block.row(0)[0])
+            });
+        });
+    });
+    let m = serving_model(2_048, 20_000);
+    c.bench_function("score_block/64_users_of_20000", |b| {
+        rayon::with_threads(1, || {
+            let engine = ScoringEngine::for_model(&m);
+            let mut block = ScoreBlock::new();
+            let mut start = 0;
+            b.iter(|| {
+                start = (start + SCORE_BLOCK_USERS) % m.num_users();
+                engine.score_block(&m, start..start + SCORE_BLOCK_USERS, &mut block).unwrap();
+                std::hint::black_box(block.row(start)[0])
+            });
+        });
+    });
+}
+
 fn bench_cache_rebuild(c: &mut Criterion) {
     let data = dataset();
     let mut m = model(&data);
@@ -167,6 +208,6 @@ fn bench_cache_rebuild(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_score_catalog, bench_top_n, bench_select, bench_cache_rebuild
+    targets = bench_score_catalog, bench_top_n, bench_select, bench_serving_shapes, bench_cache_rebuild
 }
 criterion_main!(benches);

@@ -164,6 +164,10 @@ counters! {
     /// Operand panels packed by the GEMM kernel, counted as the canonical
     /// serial schedule's pack count at the `gemm` entry point (so the value
     /// is thread-invariant even though parallel tasks re-pack B slivers).
+    /// A pre-packed `op(B)` (`taamr_tensor::PackedB`) counts its slivers
+    /// once, when it is built; each `gemm_packed` call against it counts
+    /// only its `op(A)` packs, `⌈k/KC⌉ · ⌈m/MC⌉`. Every count is a pure
+    /// function of the shapes.
     GemmPanelPacks => "gemm_panel_packs", invariant: true;
     /// Scratch-arena requests satisfied by an existing allocation.
     /// Scheduling-dependent — see the crate docs carve-out.

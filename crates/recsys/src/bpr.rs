@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use taamr_data::Triplet;
 use taamr_tensor::dot_blocked;
 
-use crate::scoring::tensor_2d;
 use crate::train::{bpr_loss_and_coeff, PairwiseModel};
 use crate::{CatalogPlan, Recommender};
 
@@ -115,7 +114,7 @@ impl Recommender for BprMf {
 
     fn catalog_plan(&self) -> CatalogPlan {
         CatalogPlan::gemm(self.num_users, self.num_items, self.item_bias.clone())
-            .with_term(tensor_2d(self.item_factors.clone(), self.num_items, self.factors))
+            .with_term(&self.item_factors, self.factors)
     }
 
     fn user_term_rows(&self, term: usize, users: std::ops::Range<usize>) -> &[f32] {

@@ -355,24 +355,28 @@ impl Recommender for Vbpr {
     fn catalog_plan(&self) -> CatalogPlan {
         let (ni, d) = (self.num_items, self.feature_dim);
         let (k, a) = (self.config.factors, self.config.visual_factors);
-        let features = tensor_2d(self.features.clone(), ni, d);
-        // V = F·E — every item's visual embedding in one GEMM.
-        let projection = tensor_2d(self.projection.clone(), d, a);
         let mut visual_items = Tensor::zeros(&[ni, a]);
-        // b_vis = F·β — the per-item visual bias term in one GEMM.
-        let beta = tensor_2d(self.visual_bias.clone(), d, 1);
         let mut b_vis = Tensor::zeros(&[ni, 1]);
-        with_gemm_scratch(|scratch| {
-            scoring_gemm(&features, &projection, Transpose::No, 0.0, &mut visual_items, scratch);
-            scoring_gemm(&features, &beta, Transpose::No, 0.0, &mut b_vis, scratch);
-        });
+        {
+            // The feature copy is dropped before the terms are packed, so it
+            // never coexists with the packed matrices.
+            let features = tensor_2d(self.features.clone(), ni, d);
+            // V = F·E — every item's visual embedding in one GEMM.
+            let projection = tensor_2d(self.projection.clone(), d, a);
+            // b_vis = F·β — the per-item visual bias term in one GEMM.
+            let beta = tensor_2d(self.visual_bias.clone(), d, 1);
+            with_gemm_scratch(|scratch| {
+                scoring_gemm(&features, &projection, Transpose::No, 0.0, &mut visual_items, scratch);
+                scoring_gemm(&features, &beta, Transpose::No, 0.0, &mut b_vis, scratch);
+            });
+        }
         let static_term: Vec<f32> =
             self.item_bias.iter().zip(b_vis.as_slice()).map(|(&b, &bv)| b + bv).collect();
         // Term order must match `score`: collaborative p·q first, then the
-        // visual α·(E f) pathway.
+        // visual α·(E f) pathway. Q is packed straight from model storage.
         CatalogPlan::gemm(self.num_users, ni, static_term)
-            .with_term(tensor_2d(self.item_factors.clone(), ni, k))
-            .with_term(visual_items)
+            .with_term(&self.item_factors, k)
+            .with_term(visual_items.as_slice(), a)
     }
 
     fn user_term_rows(&self, term: usize, users: std::ops::Range<usize>) -> &[f32] {
