@@ -49,7 +49,9 @@ pub enum FaultSite {
     ReplayHash,
     /// Serving actor: panic while handling the request whose per-actor
     /// ordinal is the index, so supervision tests can prove the supervisor
-    /// restarts the slot from its last snapshot.
+    /// restarts the slot from its last snapshot. The ordinal counts only
+    /// the requests the actor receives: a result-cache hit, answered on the
+    /// request thread, takes none.
     ServeActorPanic,
     /// Serving snapshot store: silently corrupt (bit-flip) the snapshot
     /// file whose per-slot write ordinal is the index immediately after it
@@ -59,7 +61,8 @@ pub enum FaultSite {
     /// Serving actor: stall (sleep past the request deadline) while
     /// handling the request whose per-actor ordinal is the index, so
     /// deadline tests can prove a slow handler becomes a typed timeout
-    /// response instead of a hang.
+    /// response instead of a hang. Ordinals count as for
+    /// [`FaultSite::ServeActorPanic`].
     ServeStall,
     /// Black-box attack oracle: the query ledger of the item whose id is
     /// the index reports exhaustion on its next debit, so degradation

@@ -10,27 +10,32 @@
 //!
 //! # The hot path: coalescing and the result cache
 //!
-//! Top-N requests are drained from the mailbox as *batches*: when one
-//! arrives, the actor keeps pulling queued `TopN` messages (and, with a
+//! Cache hits never reach the actor. The actor shares its
+//! [`TopNCache`](crate::TopNCache) with its slot as a [`SharedCache`]
+//! (`(user, n) →` response, guarded by the model's
+//! [`scoring_version`](taamr_recsys::Recommender::scoring_version)), and
+//! the supervisor answers a hit on the request thread. Every valid top-N
+//! request the actor receives has therefore missed: the actor counts the
+//! miss, scores it and inserts the list — it is the cache's only writer.
+//! Two concurrent requests for the same list may both miss and both be
+//! scored; the second insert replaces the first with identical bytes. The
+//! actor closes the cache on any exit — a caught panic, `Crash` or
+//! `Drain` — so a dead incarnation's lists are unreachable; see the
+//! [`crate::cache`] docs for the invalidation argument.
+//!
+//! Top-N requests that do reach the mailbox are drained as *batches*: when
+//! one arrives, the actor keeps pulling queued `TopN` messages (and, with a
 //! positive coalescing window, waits out the window for more) up to the
 //! batch cap, then answers the whole batch from one
 //! [`ScoringEngine::score_gather`] call — one GEMM pass amortised across
 //! every user in the batch. The GEMM per-element contract makes each
 //! response bitwise identical to the serial per-request answer, so
 //! coalescing is purely a throughput optimisation, invisible in the
-//! payload. Per-request fault ordinals (stall/panic injection) are
-//! assigned in arrival order before scoring, preserving the supervision
-//! tests' crash semantics; a mid-batch panic drops every unanswered reply
-//! in the batch, and each sender retries through the supervisor exactly as
-//! if its own request had crashed.
-//!
-//! Before scoring, each request consults the actor's [`TopNCache`]
-//! (`(user, n) →` response, guarded by the model's
-//! [`scoring_version`](taamr_recsys::Recommender::scoring_version)): hits
-//! are answered immediately without touching the engine, misses are
-//! gathered into the batch. The version check makes a stale entry
-//! structurally unreachable — see the [`crate::cache`] docs for the
-//! invalidation argument.
+//! payload. Per-request fault ordinals (stall/panic injection) count the
+//! requests the actor receives, in arrival order, before scoring — a hit
+//! answered on the request thread takes no ordinal. A mid-batch panic
+//! drops every unanswered reply in the batch, and each sender retries
+//! through the supervisor exactly as if its own request had crashed.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -42,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use taamr_fault::FaultSite;
 use taamr_recsys::{top_n_with, ScoreBlock, ScoringEngine, SelectionScratch, ShardPlan};
 
-use crate::cache::{CacheLookup, TopNCache};
+use crate::cache::SharedCache;
 use crate::error::ServeError;
 use crate::ledger::Accountant;
 use crate::ServeModel;
@@ -125,13 +130,36 @@ pub(crate) struct ActorSpec<M> {
     pub cache_capacity: usize,
 }
 
-/// Spawns the actor thread with a warm scoring engine. The returned sender
-/// is the only handle; when the actor dies (crash or drain) the channel
-/// disconnects.
-pub(crate) fn spawn<M: ServeModel>(spec: ActorSpec<M>) -> (Sender<ActorMsg>, JoinHandle<()>) {
+/// A spawned actor incarnation: its mailbox, the result cache it shares
+/// with the slot, and its thread.
+pub(crate) struct Spawned {
+    /// The only mailbox handle; when the actor dies (crash or drain) the
+    /// channel disconnects.
+    pub tx: Sender<ActorMsg>,
+    /// The incarnation's result cache, closed when the actor exits.
+    pub cache: Arc<SharedCache>,
+    /// The actor thread.
+    pub join: JoinHandle<()>,
+}
+
+/// Spawns the actor thread with a warm scoring engine.
+pub(crate) fn spawn<M: ServeModel>(spec: ActorSpec<M>) -> Spawned {
     let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || run(spec, rx));
-    (tx, handle)
+    let cache =
+        Arc::new(SharedCache::new(spec.cache_capacity, spec.model.scoring_version()));
+    let actor_cache = Arc::clone(&cache);
+    let join = std::thread::spawn(move || run(spec, rx, actor_cache));
+    Spawned { tx, cache, join }
+}
+
+/// Closes the incarnation's shared cache when the actor thread leaves
+/// [`run`], however it leaves.
+struct CloseOnExit(Arc<SharedCache>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// One queued top-N request awaiting a batched answer.
@@ -141,7 +169,8 @@ struct PendingTopN {
     reply: Sender<Result<TopNResponse, ServeError>>,
 }
 
-fn run<M: ServeModel>(spec: ActorSpec<M>, rx: Receiver<ActorMsg>) {
+fn run<M: ServeModel>(spec: ActorSpec<M>, rx: Receiver<ActorMsg>, cache: Arc<SharedCache>) {
+    let cache = CloseOnExit(cache);
     let ActorSpec {
         slot,
         model,
@@ -152,15 +181,15 @@ fn run<M: ServeModel>(spec: ActorSpec<M>, rx: Receiver<ActorMsg>) {
         accountant,
         coalesce_window,
         max_coalesce,
-        cache_capacity,
+        cache_capacity: _,
     } = spec;
     let mut engine = ScoringEngine::for_model(&model);
     let mut block = ScoreBlock::new();
     let mut scratch = SelectionScratch::new();
-    let mut cache = TopNCache::new(cache_capacity);
     let max_coalesce = max_coalesce.max(1);
     // Per-actor request ordinal: the fault index for ServeActorPanic and
-    // ServeStall, assigned in arrival order.
+    // ServeStall, assigned in arrival order to the requests this actor
+    // receives (a hit answered on a request thread takes none).
     let mut served: u64 = 0;
     // A non-TopN message pulled off the mailbox while collecting a batch;
     // processed before the next receive.
@@ -188,7 +217,7 @@ fn run<M: ServeModel>(spec: ActorSpec<M>, rx: Receiver<ActorMsg>) {
                         &mut engine,
                         &mut block,
                         &mut scratch,
-                        &mut cache,
+                        &cache.0,
                         &accountant,
                         &seen,
                         model_version,
@@ -271,8 +300,8 @@ fn collect_batch(
 }
 
 /// Serves one drained batch: per-request fault ordinals in arrival order,
-/// cache lookups at the live scoring version, then a single
-/// [`ScoringEngine::score_gather`] over every miss.
+/// validation, then a single [`ScoringEngine::score_gather`] over every
+/// valid request (each one a cache miss).
 #[allow(clippy::too_many_arguments)]
 fn serve_batch<M: ServeModel>(
     slot: &str,
@@ -280,7 +309,7 @@ fn serve_batch<M: ServeModel>(
     engine: &mut ScoringEngine,
     block: &mut ScoreBlock,
     scratch: &mut SelectionScratch,
-    cache: &mut TopNCache,
+    cache: &SharedCache,
     accountant: &Accountant,
     seen: &[Vec<usize>],
     model_version: u64,
@@ -303,9 +332,8 @@ fn serve_batch<M: ServeModel>(
         }
     }
 
-    // Validation and cache lookups. Hits are answered immediately; misses
-    // queue for the gathered scoring pass.
-    let version = model.scoring_version();
+    // Validation. A valid request reached the actor because it missed the
+    // cache on its request thread; it queues for the gathered scoring pass.
     let mut compute: Vec<&PendingTopN> = Vec::with_capacity(batch.len());
     for req in batch {
         if req.user >= model.num_users() {
@@ -324,17 +352,8 @@ fn serve_batch<M: ServeModel>(
             let _ = req.reply.send(Err(err));
             continue;
         }
-        match cache.get(version, req.user, req.n) {
-            CacheLookup::Hit(response) => {
-                accountant.cache_hit();
-                // A dropped receiver (caller timed out) is fine.
-                let _ = req.reply.send(Ok(response));
-            }
-            CacheLookup::Miss(_why) => {
-                accountant.cache_miss();
-                compute.push(req);
-            }
-        }
+        accountant.cache_miss();
+        compute.push(req);
     }
     if compute.is_empty() {
         return;
@@ -365,7 +384,7 @@ fn serve_batch<M: ServeModel>(
             items,
             scores,
         };
-        for _ in 0..cache.insert(version, req.n, response.clone()) {
+        for _ in 0..cache.insert(req.n, response.clone()) {
             accountant.cache_eviction();
         }
         let _ = req.reply.send(Ok(response));

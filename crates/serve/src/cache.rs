@@ -1,6 +1,6 @@
 //! The version-keyed top-N result cache.
 //!
-//! Each actor owns one [`TopNCache`]: an LRU of `(user, n) →`
+//! Each actor incarnation owns one [`TopNCache`]: an LRU of `(user, n) →`
 //! [`TopNResponse`] where every entry also records the
 //! [`scoring_version`](taamr_recsys::Recommender::scoring_version) of the
 //! model that produced it. Lookups pass the *live* version; an entry
@@ -11,6 +11,15 @@
 //! invalidation rule, not a TTL heuristic: a hit is *proof* the model has
 //! not changed since the entry was computed.
 //!
+//! The slot shares the incarnation's cache with its request threads as a
+//! [`SharedCache`]: the cache behind a mutex, next to the incarnation's
+//! fixed scoring version. A request thread answers a hit itself, with no
+//! mailbox round trip; the actor stays the only writer (it inserts what it
+//! computes). Closing the shared cache — on a kill, or when the actor exits
+//! for any reason — drops its entries, so a dead incarnation's lists are
+//! unreachable from that moment on, and the next request reaches the dead
+//! mailbox and triggers the restart.
+//!
 //! Eviction is plain LRU over successful lookups and inserts, bounded by
 //! a fixed capacity so a hostile scan of the user space cannot grow actor
 //! memory without bound. Recency is tracked with a lazy queue: each
@@ -19,6 +28,7 @@
 //! victim.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::actor::TopNResponse;
 
@@ -148,6 +158,50 @@ impl TopNCache {
     }
 }
 
+/// One actor incarnation's [`TopNCache`] as its slot shares it: the cache
+/// behind a mutex, keyed by the incarnation's scoring version, which never
+/// changes (the actor owns its model and never mutates it). Request threads
+/// read through [`SharedCache::hit`]; only the actor inserts. Once
+/// [`closed`](SharedCache::close) every lookup misses and every insert is
+/// dropped.
+pub(crate) struct SharedCache {
+    version: u64,
+    /// `None` once the incarnation is gone.
+    cache: Mutex<Option<TopNCache>>,
+}
+
+impl SharedCache {
+    /// An open cache of `capacity` responses for a model at `version`.
+    pub(crate) fn new(capacity: usize, version: u64) -> Self {
+        SharedCache { version, cache: Mutex::new(Some(TopNCache::new(capacity))) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<TopNCache>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached response for `(user, n)`, or `None` on a miss or a
+    /// closed cache. Counts nothing: the caller records the hit, and a
+    /// miss is counted where it is computed.
+    pub(crate) fn hit(&self, user: usize, n: usize) -> Option<TopNResponse> {
+        match self.lock().as_mut()?.get(self.version, user, n) {
+            CacheLookup::Hit(response) => Some(response),
+            CacheLookup::Miss(_) => None,
+        }
+    }
+
+    /// [`TopNCache::insert`] at the incarnation's version; a closed cache
+    /// drops the response and evicts nothing.
+    pub(crate) fn insert(&self, n: usize, response: TopNResponse) -> u64 {
+        self.lock().as_mut().map_or(0, |cache| cache.insert(self.version, n, response))
+    }
+
+    /// Drops every entry and makes every later lookup miss.
+    pub(crate) fn close(&self) {
+        *self.lock() = None;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,5 +290,18 @@ mod tests {
             CacheLookup::Miss(CacheMiss::Absent) => {}
             other => panic!("capacity-0 cache must never hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shared_cache_keys_on_its_version_and_misses_once_closed() {
+        let shared = SharedCache::new(8, 3);
+        assert_eq!(shared.hit(1, 5), None);
+        assert_eq!(shared.insert(5, resp(1, 5, 3)), 0);
+        assert_eq!(shared.hit(1, 5), Some(resp(1, 5, 3)));
+
+        shared.close();
+        assert_eq!(shared.hit(1, 5), None, "a closed cache never hits");
+        assert_eq!(shared.insert(5, resp(2, 5, 3)), 0);
+        assert_eq!(shared.hit(2, 5), None, "a closed cache drops inserts");
     }
 }

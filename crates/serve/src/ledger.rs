@@ -8,7 +8,9 @@
 //! `telemetry.json` carry the same story — but the ledger itself works even
 //! when global telemetry is disabled. Schema v8 added the hot-path events:
 //! top-N result-cache hits/misses/evictions and request-coalescing batch
-//! counts, recorded by the actors.
+//! counts. Each valid top-N request counts exactly one cache hit or one
+//! cache miss: the supervisor counts a hit it answers on the request
+//! thread, and the actor counts a miss for each request it receives.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,7 +56,7 @@ pub struct LedgerSnapshot {
     pub swaps: u64,
     /// Actor-state snapshots written to the store.
     pub snapshot_writes: u64,
-    /// Requests answered from an actor's version-keyed top-N result cache.
+    /// Requests answered from a slot's version-keyed top-N result cache.
     pub cache_hits: u64,
     /// Requests that missed the result cache (absent or version-stale
     /// entry) and were recomputed.

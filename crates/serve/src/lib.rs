@@ -16,14 +16,17 @@
 //!   queue sheds with `429`, and every outcome lands in the
 //!   [`Accountant`] ledger (mirrored into `taamr-obs` telemetry, schema
 //!   v8).
-//! * The read path is batched and cached: actors coalesce concurrent
-//!   top-N requests into one gathered scoring pass (bitwise-identical to
-//!   serial answers) and serve repeats from a version-keyed [`TopNCache`]
-//!   whose entries are invalidated exactly by the scoring-version
-//!   counter — a stale list is structurally unreachable.
+//! * The read path is cached and batched: a repeat is answered on the
+//!   request thread from the live actor incarnation's version-keyed
+//!   [`TopNCache`], whose entries are invalidated exactly by the
+//!   scoring-version counter (a stale list is structurally unreachable)
+//!   and closed with the incarnation; misses go to the actor, which
+//!   coalesces concurrent ones into one gathered scoring pass
+//!   (bitwise-identical to serial answers) and caches the result.
 //! * Failure paths are testable on demand: `taamr-fault` sites inject an
 //!   actor panic mid-request, a corrupt snapshot write, or a stalled
-//!   handler, deterministically, by request ordinal.
+//!   handler, deterministically, by the ordinal of the request among
+//!   those the actor receives (cache hits never reach it).
 //!
 //! Serving in a reproduction of an *attack* paper is not an afterthought:
 //! TAaMR's threat model is a deployed multimedia recommender whose item

@@ -4,10 +4,13 @@
 //! actor ([`crate::actor`]) behind a version gate: requests clone the
 //! current mailbox sender under a brief lock, so replacing the sender —
 //! a restart or a zero-downtime swap — is atomic with respect to the
-//! request path. Crash handling is supervision, not avoidance: a dead
-//! mailbox triggers restart-from-snapshot plus a bounded, deterministic
-//! backoff retry of the request itself; only an exhausted retry budget or
-//! an unrecoverable store surfaces as a typed 503.
+//! request path. The slot also holds the live incarnation's result cache,
+//! so a cache hit is answered on the calling thread without touching the
+//! mailbox; everything else goes to the actor. Crash handling is
+//! supervision, not avoidance: a dead mailbox triggers
+//! restart-from-snapshot plus a bounded, deterministic backoff retry of
+//! the request itself; only an exhausted retry budget or an unrecoverable
+//! store surfaces as a typed 503.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -16,7 +19,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::actor::{self, ActorMsg, ActorSpec, SweepResponse, TopNResponse};
+use crate::actor::{self, ActorMsg, ActorSpec, Spawned, SweepResponse, TopNResponse};
+use crate::cache::SharedCache;
 use crate::error::ServeError;
 use crate::ledger::Accountant;
 use crate::snapshot::SnapshotStore;
@@ -67,10 +71,11 @@ impl SupervisorConfig {
     }
 }
 
-/// Mutable half of a slot, guarded by one mutex: the live mailbox sender
-/// and the version gate.
+/// Mutable half of a slot, guarded by one mutex: the live mailbox sender,
+/// the live incarnation's result cache, and the version gate.
 struct SlotState {
     tx: Sender<ActorMsg>,
+    cache: Arc<SharedCache>,
     join: Option<JoinHandle<()>>,
     /// Bumps on every restart and swap; used to deduplicate concurrent
     /// restart attempts (first observer wins, later ones no-op).
@@ -139,7 +144,7 @@ impl<M: ServeModel> Supervisor<M> {
         store.save(&model, 1)?;
         self.accountant.snapshot_write();
         let seen = Arc::new(seen);
-        let (tx, join) = actor::spawn(ActorSpec {
+        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
             slot: name.to_owned(),
             model,
             model_version: 1,
@@ -159,6 +164,7 @@ impl<M: ServeModel> Supervisor<M> {
                 store: Mutex::new(store),
                 state: Mutex::new(SlotState {
                     tx,
+                    cache,
                     join: Some(join),
                     incarnation: 1,
                     model_version: 1,
@@ -179,10 +185,12 @@ impl<M: ServeModel> Supervisor<M> {
 
     /// Serves a top-`n` request against `slot` within `deadline`.
     ///
-    /// An actor crash mid-request is absorbed: the supervisor restarts the
-    /// slot from its newest usable snapshot and retries, sleeping the
-    /// deterministic backoff between attempts, until the retry budget or
-    /// the deadline runs out.
+    /// A result-cache hit is answered on the calling thread; a miss goes to
+    /// the slot's actor, which computes and caches the list. An actor crash
+    /// mid-request is absorbed: the supervisor restarts the slot from its
+    /// newest usable snapshot and retries, sleeping the deterministic
+    /// backoff between attempts, until the retry budget or the deadline
+    /// runs out.
     ///
     /// # Errors
     ///
@@ -197,7 +205,12 @@ impl<M: ServeModel> Supervisor<M> {
         n: usize,
         deadline: Duration,
     ) -> Result<TopNResponse, ServeError> {
-        self.request(slot_name, deadline, |reply| ActorMsg::TopN { user, n, reply })
+        self.request(
+            slot_name,
+            deadline,
+            |cache| cache.hit(user, n),
+            |reply| ActorMsg::TopN { user, n, reply },
+        )
     }
 
     /// Serves a sharded full-catalog sweep against `slot`: top-`n` lists for
@@ -218,16 +231,24 @@ impl<M: ServeModel> Supervisor<M> {
         shard_users: Option<usize>,
         deadline: Duration,
     ) -> Result<SweepResponse, ServeError> {
-        self.request(slot_name, deadline, |reply| ActorMsg::Sweep { n, shard_users, reply })
+        self.request(
+            slot_name,
+            deadline,
+            |_| None,
+            |reply| ActorMsg::Sweep { n, shard_users, reply },
+        )
     }
 
-    /// The shared request loop: version-gated send, deadline-bounded reply
-    /// wait, restart-and-retry on actor death. `make_msg` packages the
-    /// reply sender into the actor message for the concrete request kind.
+    /// The shared request loop: version-gated cache lookup or send,
+    /// deadline-bounded reply wait, restart-and-retry on actor death.
+    /// `cached` answers from the live incarnation's result cache (a hit is
+    /// counted here); `make_msg` packages the reply sender into the actor
+    /// message for the concrete request kind.
     fn request<T>(
         &self,
         slot_name: &str,
         deadline: Duration,
+        cached: impl Fn(&SharedCache) -> Option<T>,
         make_msg: impl Fn(Sender<Result<T, ServeError>>) -> ActorMsg,
     ) -> Result<T, ServeError> {
         self.accountant.request();
@@ -242,6 +263,15 @@ impl<M: ServeModel> Supervisor<M> {
                         slot: slot.name.clone(),
                         reason: reason.clone(),
                     });
+                }
+                // Under the slot lock, so a hit is on the incarnation the
+                // gate serves right now: a swap or kill that returned
+                // earlier has already replaced or closed this cache.
+                if let Some(resp) = cached(&st.cache) {
+                    drop(st);
+                    self.accountant.cache_hit();
+                    self.accountant.ok();
+                    return Ok(resp);
                 }
                 (st.tx.clone(), st.incarnation)
             };
@@ -323,7 +353,7 @@ impl<M: ServeModel> Supervisor<M> {
             let _ = handle.join();
         }
         let incarnation = observed_incarnation + 1;
-        let (tx, join) = actor::spawn(ActorSpec {
+        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
             slot: slot.name.clone(),
             model: restored.model,
             model_version: restored.version,
@@ -336,6 +366,7 @@ impl<M: ServeModel> Supervisor<M> {
             cache_capacity: self.config.cache_capacity,
         });
         st.tx = tx;
+        st.cache = cache;
         st.join = Some(join);
         st.incarnation = incarnation;
         st.model_version = restored.version;
@@ -362,7 +393,7 @@ impl<M: ServeModel> Supervisor<M> {
             (st.model_version + 1, st.incarnation + 1)
         };
         // Warm the replacement before touching the live sender.
-        let (tx, join) = actor::spawn(ActorSpec {
+        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
             slot: slot.name.clone(),
             model: model.clone(),
             model_version: version,
@@ -381,6 +412,7 @@ impl<M: ServeModel> Supervisor<M> {
         let (old_tx, old_join) = {
             let mut st = lock(&slot.state);
             let old_tx = std::mem::replace(&mut st.tx, tx);
+            st.cache = cache;
             let old_join = st.join.replace(join);
             st.incarnation = incarnation;
             st.model_version = version;
@@ -398,15 +430,18 @@ impl<M: ServeModel> Supervisor<M> {
     }
 
     /// Chaos hook: asks a slot's actor to die immediately (queued requests
-    /// included). The next request observes the crash and triggers
-    /// recovery — this is what the bench's crash storm calls.
+    /// included). Its result cache closes before this returns, so the next
+    /// request cannot hit it: it observes the crash and triggers recovery —
+    /// this is what the bench's crash storm calls.
     ///
     /// # Errors
     ///
     /// [`ServeError::SlotNotFound`] for an unknown slot.
     pub fn kill(&self, slot_name: &str) -> Result<(), ServeError> {
         let slot = self.slot(slot_name)?;
-        let _ = lock(&slot.state).tx.send(ActorMsg::Crash);
+        let st = lock(&slot.state);
+        st.cache.close();
+        let _ = st.tx.send(ActorMsg::Crash);
         Ok(())
     }
 

@@ -46,6 +46,46 @@ fn stalled_handler_becomes_a_typed_timeout() {
 }
 
 #[test]
+fn cached_read_is_answered_while_the_actor_stalls() {
+    let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = common::fresh_dir("deadline-hit-during-stall");
+    let mut config = SupervisorConfig::new(&dir);
+    config.stall = Duration::from_millis(600);
+    let sup = std::sync::Arc::new(Supervisor::new(config));
+    sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
+    let long = Duration::from_secs(5);
+    let cold = sup.top_n("bpr", 0, 10, long).unwrap();
+
+    // The actor's second request (a miss) stalls it; meanwhile a repeat of
+    // the cached read must not queue behind the stall. The 100 ms pause
+    // only gives the actor time to enter the stall: the hit must succeed
+    // however the threads interleave.
+    let plan = FaultPlan::new().with(FaultSite::ServeStall, 1);
+    let ((stalled, hit, stall_pending), unfired) = with_shared_plan(plan, || {
+        let stalling = {
+            let sup = std::sync::Arc::clone(&sup);
+            std::thread::spawn(move || sup.top_n("bpr", 1, 10, long))
+        };
+        while sup.accountant().snapshot().requests < 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        let hit = sup.top_n("bpr", 0, 10, Duration::from_millis(100));
+        let stall_pending = !stalling.is_finished();
+        (stalling.join().unwrap(), hit, stall_pending)
+    });
+    assert_eq!(unfired, 0, "the injected stall must actually fire");
+    assert_eq!(hit.unwrap(), cold, "the hit replays the cold answer");
+    assert!(stall_pending, "the hit was answered while the actor stalled");
+    assert_eq!(stalled.unwrap().incarnation, 1, "a stall is not a crash");
+
+    // Every request counted exactly one hit or one miss.
+    let ledger = sup.accountant().snapshot();
+    assert_eq!((ledger.requests, ledger.ok, ledger.timeouts), (3, 3, 0));
+    assert_eq!((ledger.cache_hits, ledger.cache_misses), (1, 2));
+}
+
+#[test]
 fn timeout_surfaces_as_http_503() {
     let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("deadline-http");

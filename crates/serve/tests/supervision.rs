@@ -32,7 +32,14 @@ fn supervisor(dir: &std::path::Path, max_retries: u32) -> Supervisor<taamr_recsy
 fn crash_mid_request_restarts_from_snapshot_byte_identical() {
     let _gate = SHARED_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::fresh_dir("supervision-crash");
-    let sup = supervisor(&dir, 2);
+    // No result cache: a hit is answered on the request thread and takes no
+    // actor ordinal, so with the cache on, the crashing request below (a
+    // repeat of user 0's list) would never reach the actor.
+    let mut config = SupervisorConfig::new(&dir);
+    config.max_retries = 2;
+    config.backoff_base = Duration::from_millis(2);
+    config.cache_capacity = 0;
+    let sup: Supervisor<taamr_recsys::BprMf> = Supervisor::new(config);
     sup.add_slot("bpr", common::model(1), common::seen_lists()).unwrap();
 
     // Baseline from the first incarnation: requests 0..USERS.

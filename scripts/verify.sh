@@ -147,18 +147,22 @@ cargo run -q --release -p taamr-bench --features taamr/serial --bin replay -- \
 # restores byte-identical scores from the snapshot, a crash storm under
 # kept-alive HTTP load shows no client errors, a hammered model swap
 # shows no errors and a clean version cliff, coalesced batches and cache
-# hits are bitwise identical to serial uncached scoring, and a version bump
-# makes every cached top-N unreachable (hot_path) — re-run under the
+# hits are bitwise identical to serial uncached scoring, a version bump
+# makes every cached top-N unreachable (hot_path), a stalled actor becomes
+# a typed timeout while cache hits, answered on the request thread, still
+# go through (deadline_shed), and the `/stats` ledger counts every request
+# exactly once (http_api) — re-run under the
 # `serial` scoring feature as well as the default, so neither threading
 # schedule can hide a supervision race or a batching divergence. (The full
 # workspace pass above already ran every serve test once under the default
 # features.)
-echo "== serve audit: supervision + swap + hot-path tests (default features)"
-cargo test -p taamr-serve -q --test supervision --test swap --test hot_path --test snapshot_recovery
+echo "== serve audit: supervision, swap, hot-path, deadline and HTTP tests (default features)"
+cargo test -p taamr-serve -q --test supervision --test swap --test hot_path --test snapshot_recovery \
+    --test deadline_shed --test http_api
 
-echo "== serve audit: supervision + swap + hot-path tests (serial feature)"
+echo "== serve audit: supervision, swap, hot-path, deadline and HTTP tests (serial feature)"
 cargo test -p taamr-serve --features serial -q --test supervision --test swap --test hot_path \
-    --test snapshot_recovery
+    --test snapshot_recovery --test deadline_shed --test http_api
 
 # Scale audit: sharded scoring must be bitwise invisible — the shard-
 # streaming drivers and the default-plan drivers land on identical lists

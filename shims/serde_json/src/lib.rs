@@ -4,7 +4,7 @@
 //! Supports the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) — enough for config/report/model persistence.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -31,6 +31,10 @@ pub type Result<T> = std::result::Result<T, Error>;
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
+//
+// Numbers are formatted straight into the output buffer with `write!`, no
+// temporary `String` per number. Writing into a `String` cannot fail, so the
+// `fmt::Result`s are discarded.
 
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
@@ -42,7 +46,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -59,9 +63,9 @@ fn render_number(f: f64, out: &mut String) {
         // Keep integral floats recognisable and compact ("2" not "2.0" is
         // what upstream emits for integers; for floats it emits "2.0" — we
         // preserve the fractional marker so round-trips stay floats).
-        out.push_str(&format!("{f:.1}"));
+        let _ = write!(out, "{f:.1}");
     } else {
-        out.push_str(&format!("{f}"));
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -77,8 +81,12 @@ fn render(v: &Value, pretty: bool, indent: usize, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::Float(f) => render_number(*f, out),
         Value::Str(s) => escape_into(s, out),
         Value::Array(items) => {
@@ -463,5 +471,25 @@ mod tests {
             let back: f32 = from_str(&to_string(&f).unwrap()).unwrap();
             assert_eq!(back, f);
         }
+    }
+
+    #[test]
+    fn rendered_number_and_escape_text_is_pinned() {
+        // Integral floats keep their fractional marker below the 1e15
+        // cut-over and print plainly from it on; -0.0 keeps its sign.
+        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
+        assert_eq!(to_string(&-3.0f64).unwrap(), "-3.0");
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&999_999_999_999_999.0f64).unwrap(), "999999999999999.0");
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
+        assert_eq!(to_string(&1e-7f64).unwrap(), "0.0000001");
+        assert_eq!(to_string(&0.1f32).unwrap(), "0.10000000149011612");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(
+            to_string(&vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]).unwrap(),
+            "[null,null,null]"
+        );
+        assert_eq!(to_string("a\u{1}b\u{1f}").unwrap(), "\"a\\u0001b\\u001f\"");
     }
 }
