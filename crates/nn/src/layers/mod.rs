@@ -8,7 +8,6 @@ use crate::Layer;
 mod batchnorm;
 mod conv2d;
 mod dense;
-mod dropout;
 mod flatten;
 mod pool;
 mod relu;
@@ -18,7 +17,6 @@ mod sequential;
 pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use relu::ReLU;

@@ -33,7 +33,6 @@
 
 #![deny(missing_docs)]
 
-mod adam;
 mod classifier;
 mod distill;
 mod layer;
@@ -44,13 +43,12 @@ mod optimizer;
 mod resnet;
 mod trainer;
 
-pub use adam::{Adam, AdamConfig};
 pub use classifier::{FeatureGradient, ImageClassifier};
 pub use distill::{distill, DistillConfig};
 pub use layer::{Layer, Mode, Param};
 pub use layers::{
-    BatchNorm2d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU,
-    ResidualBlock, Sequential,
+    BatchNorm2d, Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2d, ReLU, ResidualBlock,
+    Sequential,
 };
 pub use optimizer::{LrSchedule, Sgd, SgdConfig};
 pub use resnet::{TinyResNet, TinyResNetConfig};

@@ -226,11 +226,12 @@ counters! {
     /// are a pure function of the `ShardPlan`, so the value is
     /// thread-invariant.
     ScoringShards => "scoring_shards", invariant: true;
-    /// `/recommend` requests answered from an actor's version-keyed top-N
-    /// result cache. Driven by request timing — see the serve carve-out.
+    /// `/recommend` requests answered from the live actor incarnation's
+    /// top-N result cache. Driven by request timing — see the serve
+    /// carve-out.
     ServeCacheHits => "serve_cache_hits", invariant: false;
-    /// `/recommend` requests that missed the top-N result cache (absent
-    /// entry or version-stale entry) and were recomputed.
+    /// `/recommend` requests that missed the top-N result cache (no entry
+    /// for the live incarnation) and were recomputed.
     ServeCacheMisses => "serve_cache_misses", invariant: false;
     /// Top-N cache entries evicted by the LRU capacity bound.
     ServeCacheEvictions => "serve_cache_evictions", invariant: false;

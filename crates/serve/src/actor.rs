@@ -10,10 +10,8 @@
 //!
 //! # The hot path: coalescing and the result cache
 //!
-//! Cache hits never reach the actor. The actor shares its
-//! [`TopNCache`](crate::TopNCache) with its slot as a [`SharedCache`]
-//! (`(user, n) →` response, guarded by the model's
-//! [`scoring_version`](taamr_recsys::Recommender::scoring_version)), and
+//! Cache hits never reach the actor. Each incarnation shares its result
+//! cache (`(user, n) →` response) with its slot as a [`SharedCache`], and
 //! the supervisor answers a hit on the request thread. Every valid top-N
 //! request the actor receives has therefore missed: the actor counts the
 //! miss, scores it and inserts the list — it is the cache's only writer.
@@ -145,8 +143,7 @@ pub(crate) struct Spawned {
 /// Spawns the actor thread with a warm scoring engine.
 pub(crate) fn spawn<M: ServeModel>(spec: ActorSpec<M>) -> Spawned {
     let (tx, rx) = mpsc::channel();
-    let cache =
-        Arc::new(SharedCache::new(spec.cache_capacity, spec.model.scoring_version()));
+    let cache = Arc::new(SharedCache::new(spec.cache_capacity));
     let actor_cache = Arc::clone(&cache);
     let join = std::thread::spawn(move || run(spec, rx, actor_cache));
     Spawned { tx, cache, join }

@@ -56,10 +56,11 @@ pub struct LedgerSnapshot {
     pub swaps: u64,
     /// Actor-state snapshots written to the store.
     pub snapshot_writes: u64,
-    /// Requests answered from a slot's version-keyed top-N result cache.
+    /// Requests answered from the live actor incarnation's top-N result
+    /// cache.
     pub cache_hits: u64,
-    /// Requests that missed the result cache (absent or version-stale
-    /// entry) and were recomputed.
+    /// Requests that missed the result cache (no entry for the live
+    /// incarnation) and were recomputed.
     pub cache_misses: u64,
     /// Result-cache entries evicted by the LRU capacity bound.
     pub cache_evictions: u64,

@@ -17,12 +17,13 @@
 //!   [`Accountant`] ledger (mirrored into `taamr-obs` telemetry, schema
 //!   v8).
 //! * The read path is cached and batched: a repeat is answered on the
-//!   request thread from the live actor incarnation's version-keyed
-//!   [`TopNCache`], whose entries are invalidated exactly by the
-//!   scoring-version counter (a stale list is structurally unreachable)
-//!   and closed with the incarnation; misses go to the actor, which
-//!   coalesces concurrent ones into one gathered scoring pass
-//!   (bitwise-identical to serial answers) and caches the result.
+//!   request thread from the live actor incarnation's result cache. The
+//!   cache lives and dies with its incarnation: the incarnation's model
+//!   never changes, a swap or restart brings a fresh cache, and a kill or
+//!   any actor exit closes the old one, so a stale list is structurally
+//!   unreachable. Misses go to the actor, which coalesces concurrent
+//!   ones into one gathered scoring pass (bitwise-identical to serial
+//!   answers) and caches the result.
 //! * Failure paths are testable on demand: `taamr-fault` sites inject an
 //!   actor panic mid-request, a corrupt snapshot write, or a stalled
 //!   handler, deterministically, by the ordinal of the request among
@@ -75,7 +76,6 @@ mod snapshot;
 mod supervisor;
 
 pub use actor::{SweepResponse, TopNResponse};
-pub use cache::{CacheLookup, CacheMiss, TopNCache};
 pub use error::ServeError;
 pub use http::{http_get, HttpClient};
 pub use ledger::{Accountant, LedgerSnapshot};

@@ -120,13 +120,6 @@ impl<M: ServeModel> Supervisor<M> {
         Arc::clone(&self.accountant)
     }
 
-    /// Registered slot names, sorted.
-    pub fn slot_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = lock(&self.slots).keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Creates a slot serving `model` at version 1: snapshots the model
     /// (generation 0) and spawns its first actor incarnation.
     ///
@@ -144,18 +137,7 @@ impl<M: ServeModel> Supervisor<M> {
         store.save(&model, 1)?;
         self.accountant.snapshot_write();
         let seen = Arc::new(seen);
-        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
-            slot: name.to_owned(),
-            model,
-            model_version: 1,
-            incarnation: 1,
-            seen: Arc::clone(&seen),
-            stall: self.config.stall,
-            accountant: Arc::clone(&self.accountant),
-            coalesce_window: self.config.coalesce_window,
-            max_coalesce: self.config.max_coalesce,
-            cache_capacity: self.config.cache_capacity,
-        });
+        let Spawned { tx, cache, join } = self.spawn_actor(name, &seen, model, 1, 1);
         slots.insert(
             name.to_owned(),
             Arc::new(Slot {
@@ -174,6 +156,31 @@ impl<M: ServeModel> Supervisor<M> {
             }),
         );
         Ok(())
+    }
+
+    /// Spawns an actor incarnation of `slot` serving `model` at
+    /// `model_version`, with the supervisor's stall, coalescing and cache
+    /// policy.
+    fn spawn_actor(
+        &self,
+        slot: &str,
+        seen: &Arc<Vec<Vec<usize>>>,
+        model: M,
+        model_version: u64,
+        incarnation: u64,
+    ) -> Spawned {
+        actor::spawn(ActorSpec {
+            slot: slot.to_owned(),
+            model,
+            model_version,
+            incarnation,
+            seen: Arc::clone(seen),
+            stall: self.config.stall,
+            accountant: Arc::clone(&self.accountant),
+            coalesce_window: self.config.coalesce_window,
+            max_coalesce: self.config.max_coalesce,
+            cache_capacity: self.config.cache_capacity,
+        })
     }
 
     fn slot(&self, name: &str) -> Result<Arc<Slot<M>>, ServeError> {
@@ -239,7 +246,7 @@ impl<M: ServeModel> Supervisor<M> {
         )
     }
 
-    /// The shared request loop: version-gated cache lookup or send,
+    /// The shared request loop: live-incarnation cache lookup or send,
     /// deadline-bounded reply wait, restart-and-retry on actor death.
     /// `cached` answers from the live incarnation's result cache (a hit is
     /// counted here); `make_msg` packages the reply sender into the actor
@@ -353,18 +360,8 @@ impl<M: ServeModel> Supervisor<M> {
             let _ = handle.join();
         }
         let incarnation = observed_incarnation + 1;
-        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
-            slot: slot.name.clone(),
-            model: restored.model,
-            model_version: restored.version,
-            incarnation,
-            seen: Arc::clone(&slot.seen),
-            stall: self.config.stall,
-            accountant: Arc::clone(&self.accountant),
-            coalesce_window: self.config.coalesce_window,
-            max_coalesce: self.config.max_coalesce,
-            cache_capacity: self.config.cache_capacity,
-        });
+        let Spawned { tx, cache, join } =
+            self.spawn_actor(&slot.name, &slot.seen, restored.model, restored.version, incarnation);
         st.tx = tx;
         st.cache = cache;
         st.join = Some(join);
@@ -393,18 +390,8 @@ impl<M: ServeModel> Supervisor<M> {
             (st.model_version + 1, st.incarnation + 1)
         };
         // Warm the replacement before touching the live sender.
-        let Spawned { tx, cache, join } = actor::spawn(ActorSpec {
-            slot: slot.name.clone(),
-            model: model.clone(),
-            model_version: version,
-            incarnation,
-            seen: Arc::clone(&slot.seen),
-            stall: self.config.stall,
-            accountant: Arc::clone(&self.accountant),
-            coalesce_window: self.config.coalesce_window,
-            max_coalesce: self.config.max_coalesce,
-            cache_capacity: self.config.cache_capacity,
-        });
+        let Spawned { tx, cache, join } =
+            self.spawn_actor(&slot.name, &slot.seen, model.clone(), version, incarnation);
         // Snapshot first: if the store is broken we refuse the swap and the
         // old actor keeps serving.
         lock(&slot.store).save(&model, version)?;

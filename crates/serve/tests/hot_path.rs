@@ -1,21 +1,19 @@
-//! The serving hot path: request coalescing and the version-keyed top-N
+//! The serving hot path: request coalescing and the per-incarnation top-N
 //! result cache.
 //!
 //! The contracts under test are exactness contracts, not latency claims:
 //! coalesced batches and cache hits must be *bitwise identical* to
 //! serial, uncached per-request scoring at every thread count, and a
-//! model swap or training step must make every cached entry unreachable
-//! (typed miss, then recompute) — never silently served stale.
+//! model swap must make every cached entry unreachable (the new
+//! incarnation recomputes) — never silently served stale.
 
 mod common;
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use taamr_recsys::{PairwiseModel, Recommender};
-use taamr_serve::{
-    CacheLookup, CacheMiss, Supervisor, SupervisorConfig, TopNCache, TopNResponse,
-};
+use taamr_recsys::Recommender;
+use taamr_serve::{Supervisor, SupervisorConfig, TopNResponse};
 
 /// The uncached per-request reference: items from the trait's own top-N,
 /// scores read straight off `score_all`, bit-exact.
@@ -181,68 +179,6 @@ fn swap_makes_every_cached_answer_unreachable() {
     let again = sup.top_n("bpr", 4, 6, deadline).unwrap();
     assert_eq!(again, fresh);
     assert_eq!(sup.accountant().snapshot().cache_hits, 2);
-}
-
-#[test]
-fn sgd_step_invalidation_is_a_typed_miss_then_recompute() {
-    // The cache-level proof that the version gate is exact: a cached
-    // entry survives lookups at its own scoring version, and a single
-    // training step — which bumps the model's scoring version — turns
-    // the next lookup into a *typed* stale miss that removes the entry.
-    // The stale list is unreachable from that point on.
-    let mut model = common::model(7);
-    let mut cache = TopNCache::new(16);
-    let user = 3;
-    let n = 5;
-
-    let build = |model: &taamr_recsys::BprMf| {
-        let (items, _bits) = reference(model, user, n);
-        let row = model.score_all(user);
-        let scores = items.iter().map(|&i| row[i]).collect();
-        TopNResponse {
-            slot: "bpr".to_owned(),
-            model_version: 1,
-            incarnation: 1,
-            user,
-            items,
-            scores,
-        }
-    };
-
-    let v0 = model.scoring_version();
-    cache.insert(v0, n, build(&model));
-    match cache.get(v0, user, n) {
-        CacheLookup::Hit(resp) => assert_eq!(resp.items, reference(&model, user, n).0),
-        other => panic!("expected a hit at the insert version, got {other:?}"),
-    }
-
-    // One training step bumps the scoring version.
-    model.sgd_step(&taamr_data::Triplet { user, positive: 1, negative: 2 }, 0.05);
-    let v1 = model.scoring_version();
-    assert!(v1 > v0, "sgd_step must bump the scoring version");
-
-    match cache.get(v1, user, n) {
-        CacheLookup::Miss(CacheMiss::Stale { cached_version }) => assert_eq!(cached_version, v0),
-        other => panic!("expected a typed stale miss after sgd_step, got {other:?}"),
-    }
-    // Recompute against the stepped model, re-insert, and the hit is the
-    // *new* model's answer.
-    let recomputed = build(&model);
-    cache.insert(v1, n, recomputed.clone());
-    match cache.get(v1, user, n) {
-        CacheLookup::Hit(resp) => {
-            assert_eq!(resp, recomputed);
-            assert_eq!(resp.items, reference(&model, user, n).0);
-        }
-        other => panic!("expected a hit after recompute, got {other:?}"),
-    }
-    // The old entry is gone for good — even a lookup at the old version
-    // cannot resurrect it (it now holds the new-version entry, which the
-    // old version in turn cannot see).
-    match cache.get(v0, user, n) {
-        CacheLookup::Miss(CacheMiss::Stale { cached_version }) => assert_eq!(cached_version, v1),
-        other => panic!("the v0 list must be unreachable, got {other:?}"),
-    }
 }
 
 #[test]

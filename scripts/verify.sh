@@ -147,11 +147,11 @@ cargo run -q --release -p taamr-bench --features taamr/serial --bin replay -- \
 # restores byte-identical scores from the snapshot, a crash storm under
 # kept-alive HTTP load shows no client errors, a hammered model swap
 # shows no errors and a clean version cliff, coalesced batches and cache
-# hits are bitwise identical to serial uncached scoring, a version bump
-# makes every cached top-N unreachable (hot_path), a stalled actor becomes
-# a typed timeout while cache hits, answered on the request thread, still
-# go through (deadline_shed), and the `/stats` ledger counts every request
-# exactly once (http_api) — re-run under the
+# hits are bitwise identical to serial uncached scoring, a swap, kill or
+# restart makes every cached top-N unreachable (hot_path, supervision), a
+# stalled actor becomes a typed timeout while cache hits, answered on the
+# request thread, still go through (deadline_shed), and the `/stats` ledger
+# counts every request exactly once (http_api) — re-run under the
 # `serial` scoring feature as well as the default, so neither threading
 # schedule can hide a supervision race or a batching divergence. (The full
 # workspace pass above already ran every serve test once under the default
