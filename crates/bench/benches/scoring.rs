@@ -8,7 +8,8 @@
 //! Each workload runs as a `<workload>/pointwise` vs `<workload>/engine`
 //! pair; their ratio is the engine's speedup. The `select/*` rows time
 //! top-K selection alone on one `catalog_sweep`-shaped row: K = 100, the
-//! whole catalog, and K = 100 of a row in ascending order. The
+//! whole catalog, and K = 100 of a row in ascending order; and on one
+//! `recommend_churn`-shaped row, K = 20 of 10 000 items. The
 //! `gather/one_user_of_10000` and `score_block/64_users_of_20000` rows time
 //! the engine's two scoring calls alone at the serving shapes (VBPR,
 //! feature and factor dims 16): a `recommend_churn` cache miss and one
@@ -138,6 +139,11 @@ fn bench_select(c: &mut Criterion) {
     let ascending: Vec<f32> = (0..ni).map(|i| i as f32).collect();
     c.bench_function("select/top100_of_20000_ascending", |b| {
         b.iter(|| std::hint::black_box(top_n_with(&ascending, 100, &seen, &mut scratch)));
+    });
+    // A `recommend_churn` miss: the top 20 of one serving-shaped row.
+    let row = serving_model(2, 10_000).score_all(0);
+    c.bench_function("select/top20_of_10000", |b| {
+        b.iter(|| std::hint::black_box(top_n_with(&row, 20, &seen[..4], &mut scratch)));
     });
 }
 

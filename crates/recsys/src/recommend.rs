@@ -173,17 +173,26 @@ pub fn top_n_with(
     const LANES: usize = 16;
     let cap = 2 * take;
     let mut floor = 0;
+    let mut keys = [0u32; LANES];
     for gap in gaps(excluded, scores.len()) {
         for (c, chunk) in scores[gap.clone()].chunks(LANES).enumerate() {
-            // Once the floor has risen, few chunks of a long row hold a
-            // newcomer; this test vectorises, the push loop below does not.
-            if !chunk.iter().fold(false, |any, &s| any | (order_key(s) >= floor)) {
-                continue;
+            // Keys and the pass mask of a whole chunk in one branch-free
+            // loop, which vectorises. Once the floor has risen, few lanes
+            // of a long row pass, and only those are visited below.
+            let mut pass = 0u32;
+            for (lane, (key, &score)) in keys.iter_mut().zip(chunk).enumerate() {
+                *key = order_key(score);
+                pass |= u32::from(*key >= floor) << lane;
             }
-            for (index, &score) in (gap.start + c * LANES..).zip(chunk) {
-                let key = order_key(score);
+            let base = gap.start + c * LANES;
+            while pass != 0 {
+                let lane = pass.trailing_zeros() as usize;
+                pass &= pass - 1;
+                // A cut earlier in this chunk may have raised the floor
+                // past a lane that passed the old one.
+                let key = keys[lane];
                 if key >= floor {
-                    best.push(Entry { key, index });
+                    best.push(Entry { key, index: base + lane });
                     if best.len() == cap {
                         // No key reaches `u32::MAX` (+inf maps to 0xFF80_0000).
                         floor = keep_best(best, take) + 1;
@@ -305,6 +314,59 @@ mod tests {
         assert_eq!(top_n_with(&a, 2, &[2, 0, 2], &mut scratch), top_n_indices(&a, 2, &[2, 0, 2]));
         assert_eq!(top_n_with(&b, 3, &[], &mut scratch), top_n_indices(&b, 3, &[]));
         assert_eq!(item_rank_with(&b, 3, &[4, 0], &mut scratch), item_rank(&b, 3, &[4, 0]));
+    }
+
+    /// Full-sort reference for the module's order: score descending with
+    /// `-0.0 == +0.0` and NaN last, then the lower index.
+    fn reference_top_n(scores: &[f32], n: usize, exclude: &[usize]) -> Vec<usize> {
+        let mut kept: Vec<usize> = (0..scores.len()).filter(|i| !exclude.contains(i)).collect();
+        kept.sort_by(|&a, &b| {
+            let (x, y) = (scores[a], scores[b]);
+            let by_score = match (x.is_nan(), y.is_nan()) {
+                (true, true) => Ordering::Equal,
+                (true, false) => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                (false, false) => y.partial_cmp(&x).unwrap(),
+            };
+            by_score.then(a.cmp(&b))
+        });
+        kept.truncate(n);
+        kept
+    }
+
+    #[test]
+    fn lane_masked_selection_matches_a_full_sort_at_chunk_edges() {
+        // n = 2 cuts after lane 3; lanes 4.. of the same chunk then hold
+        // scores between the old floor and the new one (2.5, 1.5, 2.0) and
+        // above it (3.5, 3.75, ...), so each lane must be rechecked.
+        let mut cut_mid_chunk = vec![
+            1.0, 2.0, 3.0, 4.0, 2.5, 3.5, 2.5, 1.5, 3.75, 0.5, 3.9, 2.0, 4.5, 3.0, 3.0, 4.0,
+        ];
+        cut_mid_chunk.extend((0..21).map(|i| (i % 5) as f32)); // 37: not a multiple of 16
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let signed_zeros = vec![
+            -0.0, 0.0, nan, -1.0, 0.0, nan, -0.0, 2.0, -inf, inf, -0.0, 0.0, nan, 1.0, 0.0, -0.0,
+            nan, 0.0, -0.0, -inf, 0.0,
+        ];
+        let ties: Vec<f32> = (0..1_003)
+            .map(|i| if i % 97 == 3 { nan } else { ((i * 7_919) % 61) as f32 - 30.0 })
+            .collect();
+        let ascending: Vec<f32> = (0..50).map(|i| i as f32).collect();
+        let rows = [cut_mid_chunk, signed_zeros, ties, ascending];
+        let exclusions: [&[usize]; 5] =
+            [&[], &[15, 16, 17], &[16], &[0, 15, 16, 17, 31, 32], &[17, 15, 16, 15]];
+        let mut scratch = SelectionScratch::new();
+        for (r, row) in rows.iter().enumerate() {
+            for exclude in exclusions {
+                for n in [1, 2, 3, 5, 16, 17, 20, 100, 2_000] {
+                    assert_eq!(
+                        top_n_with(row, n, exclude, &mut scratch),
+                        reference_top_n(row, n, exclude),
+                        "row {r}, n {n}, exclude {exclude:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

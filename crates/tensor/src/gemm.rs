@@ -322,19 +322,24 @@ impl SliverLayout {
 /// full `kc` block, `p` ascending, starting from zero. Padding lanes in the
 /// panels are zero so edge tiles compute harmless extra zeros that are never
 /// stored.
+///
+/// The tile is a local returned by value, so the optimiser keeps it in
+/// registers for the whole `p` loop instead of storing it back through a
+/// reference on every step; both panels are cut to exactly `kc` steps up
+/// front, so the zipped loop has one trip count and one exit.
 #[inline(always)]
-fn micro_kernel(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let a_it = a_panel.chunks_exact(MR).take(kc);
-    let b_it = b_panel.chunks_exact(NR).take(kc);
-    for (ap, bp) in a_it.zip(b_it) {
-        let ap: &[f32; MR] = ap.try_into().expect("A panel is MR-strided");
-        let bp: &[f32; NR] = bp.try_into().expect("B panel is NR-strided");
+fn micro_kernel(kc: usize, a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    let (a_steps, _) = a_panel[..kc * MR].as_chunks::<MR>();
+    let (b_steps, _) = b_panel[..kc * NR].as_chunks::<NR>();
+    for (ap, bp) in a_steps.iter().zip(b_steps) {
         for (acc_row, &ar) in acc.iter_mut().zip(ap) {
             for (slot, &bv) in acc_row.iter_mut().zip(bp) {
                 *slot += ar * bv;
             }
         }
     }
+    acc
 }
 
 /// Packed-panel driver over one rectangular region of `C`, packing both
@@ -566,8 +571,7 @@ fn micro_sweep(
             let i0 = ir * MR;
             let rows = MR.min(mcb - i0);
             let a_panel = &a_pack[ir * kcb * MR..(ir + 1) * kcb * MR];
-            let mut acc = [[0.0f32; NR]; MR];
-            micro_kernel(kcb, a_panel, b_panel, &mut acc);
+            let acc = micro_kernel(kcb, a_panel, b_panel);
             for (r, acc_row) in acc.iter().enumerate().take(rows) {
                 // SAFETY: this task owns rows `[row0, row0 + m)` × cols
                 // `[col0, col0 + n)` of `C` exclusively (grid partition),

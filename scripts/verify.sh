@@ -85,6 +85,14 @@ fi
 echo "== cargo test -q (full workspace)"
 cargo test -q
 
+# Release audit: the GEMM micro-kernel and top-K selection are written so
+# the optimiser keeps the tile in registers and vectorises the lane mask;
+# their bitwise contracts are checked again on the code it produces, since
+# the other test audits run the test profile.
+echo "== release audit: GEMM differential + golden, scoring + selection (release)"
+cargo test --release -q -p taamr-tensor --test gemm_differential --test golden_kernel
+cargo test --release -q -p taamr-recsys --test scoring --test selection
+
 echo "== cargo test -p taamr --features serial -q (serial fallback)"
 cargo test -p taamr --features serial -q
 
