@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use taamr_nn::ImageClassifier;
-use taamr_tensor::Tensor;
+use taamr_tensor::{signum, Tensor};
 
 use crate::{
     finish_batch, goal_sign_and_labels, Access, AdversarialBatch, Attack, AttackError,
@@ -65,12 +65,15 @@ impl Bim {
         let eps = self.epsilon.as_fraction();
         let (sign, labels) = goal_sign_and_labels(goal, clean.dims()[0]);
         let mut adv = start;
+        let step = sign * self.alpha;
         taamr_obs::add(taamr_obs::Counter::AttackGradSteps, self.steps as u64);
         for _ in 0..self.steps {
             let (_, grad) = model.loss_input_grad(&adv, &labels);
-            adv.axpy(sign * self.alpha, &grad.signum());
-            // Project to the ε-ball ∩ [0, 1] after every step.
-            for (a, &c) in adv.iter_mut().zip(clean.iter()) {
+            assert_eq!(grad.dims(), adv.dims(), "input gradient shape mismatch");
+            // adv += step · signum(∇), then project to the ε-ball ∩ [0, 1];
+            // in place, with the arithmetic of `axpy(step, &grad.signum())`.
+            for ((a, &g), &c) in adv.iter_mut().zip(grad.iter()).zip(clean.iter()) {
+                *a += step * signum(g);
                 *a = a.clamp(c - eps, c + eps).clamp(0.0, 1.0);
             }
         }

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use taamr_nn::loss::feature_match_loss;
 use taamr_nn::FeatureGradient;
-use taamr_tensor::Tensor;
+use taamr_tensor::{signum, Tensor};
 
 use crate::Epsilon;
 
@@ -128,8 +128,9 @@ impl FeatureMatch {
                 best_loss = loss;
                 best = adv.clone();
             }
-            adv.axpy(-self.alpha, &grad.signum());
-            for (a, &c) in adv.iter_mut().zip(images.iter()) {
+            assert_eq!(grad.dims(), adv.dims(), "input gradient shape mismatch");
+            for ((a, &g), &c) in adv.iter_mut().zip(grad.iter()).zip(images.iter()) {
+                *a += -self.alpha * signum(g);
                 *a = a.clamp(c - eps, c + eps).clamp(0.0, 1.0);
             }
         }

@@ -32,6 +32,14 @@ fn bench_forward(c: &mut Criterion) {
 }
 
 fn bench_input_gradient(c: &mut Criterion) {
+    // The shape the paper reproduction runs: one PGD step on one 16 px
+    // image through the Tiny-scale net (base 4, two stages, 12 classes).
+    let mut tiny = TinyResNet::new(&TinyResNetConfig::tiny_for_tests(12), &mut seeded_rng(4));
+    let x1 = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut seeded_rng(5));
+    c.bench_function("cnn_input_grad_batch1_16px_tiny", |b| {
+        b.iter(|| std::hint::black_box(tiny.loss_input_grad(&x1, &[2]).0));
+    });
+
     let mut net = catalog_net();
     let x = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut seeded_rng(2));
     let labels = vec![1usize; 8];
@@ -43,7 +51,7 @@ fn bench_input_gradient(c: &mut Criterion) {
     c.bench_function("cnn_full_backward_batch8_32px", |b| {
         b.iter(|| {
             let (_, logits) = net.forward_full(&x, Mode::Eval);
-            let (loss, grad_logits) = softmax_cross_entropy(&logits, &labels);
+            let (loss, grad_logits) = softmax_cross_entropy(logits, &labels);
             net.backward_from_logits(&grad_logits);
             std::hint::black_box(loss)
         });

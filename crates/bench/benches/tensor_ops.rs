@@ -1,8 +1,10 @@
-//! Microbenchmarks of the tensor substrate: SGEMM and im2col, the two
+//! Microbenchmarks of the tensor substrate: SGEMM, im2col and col2im, the
 //! kernels every CNN forward/backward pass is built from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use taamr_tensor::{gemm, im2col, seeded_rng, Conv2dGeometry, Tensor, Transpose};
+use taamr_tensor::{
+    col2im_into, gemm, im2col, seeded_rng, Conv2dGeometry, Tensor, Transpose,
+};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -60,6 +62,21 @@ fn bench_im2col(c: &mut Criterion) {
     });
 }
 
+fn bench_col2im(c: &mut Criterion) {
+    // The input-gradient scatter of the Tiny net's stage-1 3×3 convs at
+    // batch 1 — the shape a PGD step runs.
+    let dims = [1usize, 4, 16, 16];
+    let geom = Conv2dGeometry::new(3, 3, 1, 1);
+    let cols = Tensor::rand_uniform(&[4 * 9, 16 * 16], -1.0, 1.0, &mut seeded_rng(5));
+    let mut out = Tensor::zeros(&[0]);
+    c.bench_function("col2im_4x16x16_k3", |bench| {
+        bench.iter(|| {
+            col2im_into(&cols, &dims, &geom, &mut out).unwrap();
+            std::hint::black_box(out.as_slice()[0])
+        });
+    });
+}
+
 fn bench_elementwise(c: &mut Criterion) {
     let mut rng = seeded_rng(3);
     let a = Tensor::rand_uniform(&[65536], -1.0, 1.0, &mut rng);
@@ -82,6 +99,7 @@ criterion_group!(
     bench_gemm_transposed,
     bench_gemm_conv_shaped,
     bench_im2col,
+    bench_col2im,
     bench_elementwise
 );
 criterion_main!(benches);

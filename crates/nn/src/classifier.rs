@@ -38,7 +38,9 @@ pub trait ImageClassifier {
     ///
     /// Implementations leave the network's parameter gradients as they found
     /// them: an attack reads `∇ₓL` only (see [`crate::Layer::backward_input`]).
-    fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor);
+    /// The gradient is borrowed from the network's own buffer, which the next
+    /// call rewrites in place, so an attack's gradient steps allocate nothing.
+    fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, &Tensor);
 
     /// Predicted class per batch row (argmax of logits).
     fn predict(&mut self, x: &Tensor) -> Vec<usize> {
@@ -72,5 +74,6 @@ pub trait FeatureGradient: ImageClassifier {
     ///
     /// Panics if `target_features` does not have one `feature_dim`-length
     /// row per batch element.
-    fn feature_loss_input_grad(&mut self, x: &Tensor, target_features: &Tensor) -> (f32, Tensor);
+    fn feature_loss_input_grad(&mut self, x: &Tensor, target_features: &Tensor)
+        -> (f32, &Tensor);
 }

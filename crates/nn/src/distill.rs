@@ -74,7 +74,7 @@ pub fn distill(
         let end = (start + 64).min(n);
         let batch = gather(images, &(start..end).collect::<Vec<_>>(), sample_len);
         let (_, logits) = teacher.forward_full(&batch, Mode::Eval);
-        let soft = softmax_with_temperature(&logits, config.temperature);
+        let soft = softmax_with_temperature(logits, config.temperature);
         for i in 0..(end - start) {
             soft_labels.push(soft.row(i));
         }

@@ -74,6 +74,12 @@ impl Param {
 ///
 /// # Contract
 ///
+/// * `forward`, `backward` and `backward_input` write into buffers the layer
+///   owns and return borrows of them: the output, or the gradient with
+///   respect to the input. The buffers are rewritten in place by the next
+///   call, so a pass over same-shaped batches — a training epoch, an
+///   attack's gradient steps — stops asking the allocator for memory after
+///   the first one.
 /// * `backward` may only be called after `forward`.
 /// * Parameter gradients *accumulate*; callers zero them via
 ///   [`Layer::zero_grads`] between optimiser steps.
@@ -83,12 +89,14 @@ impl Param {
 ///   order) and skips only the parameter-gradient work. Attacks, which need
 ///   `∇ₓL` alone, use it; training uses `backward`.
 ///
-/// Layers are plain data (`Send + Sync`), and [`Layer::boxed_clone`] deep-
-/// copies one so each worker thread can own private forward/backward caches
-/// when a batch is evaluated in parallel.
+/// Layers are plain data (`Send + Sync`). [`Layer::boxed_clone`] copies the
+/// persistent state only — parameter values, gradients and momentum, and
+/// batch-norm running statistics — and leaves every forward cache and
+/// workspace buffer empty, so each worker thread gets a cheap private copy
+/// whose next `forward` rebuilds them.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> &Tensor;
 
     /// Propagates `grad_output` backwards, returning the gradient with
     /// respect to the layer's input and accumulating parameter gradients.
@@ -97,7 +105,7 @@ pub trait Layer: Send + Sync {
     ///
     /// Panics if called before [`Layer::forward`] or with a gradient whose
     /// shape does not match the most recent output.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor;
 
     /// Propagates `grad_output` backwards and returns only the gradient with
     /// respect to the layer's input; parameter gradients are left as they
@@ -109,7 +117,7 @@ pub trait Layer: Send + Sync {
     /// # Panics
     ///
     /// As [`Layer::backward`].
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backward(grad_output)
     }
 
@@ -130,8 +138,10 @@ pub trait Layer: Send + Sync {
     /// A short human-readable layer name for debugging.
     fn name(&self) -> &'static str;
 
-    /// Deep copy as a boxed trait object (parameters *and* caches), so a
-    /// worker thread can run forward/backward without touching the original.
+    /// Copy as a boxed trait object carrying the persistent state
+    /// (parameters with their gradients and momentum, running statistics)
+    /// but no forward cache or workspace, so a worker thread can run
+    /// forward/backward without touching the original.
     fn boxed_clone(&self) -> Box<dyn Layer>;
 
     /// Zeroes all parameter gradients.
@@ -144,6 +154,35 @@ pub trait Layer: Send + Sync {
     /// Total number of scalar trainable parameters.
     fn param_count(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.len()).sum()
+    }
+}
+
+/// A layer's forward caches and output/gradient buffers: rebuilt in place by
+/// every pass, never part of its persistent state.
+///
+/// Cloning yields an empty workspace (`T::default()`), so a layer can
+/// `#[derive(Clone)]` and still copy parameters only — cloning a network
+/// that just ran a training batch costs the same as cloning a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace<T>(T);
+
+impl<T: Default> Clone for Workspace<T> {
+    fn clone(&self) -> Self {
+        Workspace(T::default())
+    }
+}
+
+impl<T> std::ops::Deref for Workspace<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Workspace<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
     }
 }
 

@@ -2,7 +2,7 @@
 
 use taamr_tensor::Tensor;
 
-use crate::{Layer, Mode, Param};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// Per-channel batch normalisation over `N × C × H × W` inputs.
 ///
@@ -19,15 +19,24 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     channels: usize,
-    cache: Option<Cache>,
+    ws: Workspace<Work>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
+/// Forward cache and buffers, all rewritten in place by every pass.
+#[derive(Debug, Default)]
+struct Work {
     x_hat: Tensor,
+    /// Per-channel statistics of the last forward: mean, variance, 1/σ.
+    mean: Vec<f32>,
+    var: Vec<f32>,
     inv_std: Vec<f32>,
-    mode: Mode,
-    dims: [usize; 4],
+    /// Per-channel `Σdy·x̂` and `Σdy` of the last backward (dγ, dβ).
+    dgamma: Vec<f32>,
+    dbeta: Vec<f32>,
+    /// Mode and input dims of the last forward (`None` before the first).
+    last: Option<(Mode, [usize; 4])>,
+    out: Tensor,
+    dx: Tensor,
 }
 
 impl BatchNorm2d {
@@ -46,7 +55,7 @@ impl BatchNorm2d {
             momentum: 0.1,
             eps: 1e-5,
             channels,
-            cache: None,
+            ws: Workspace::default(),
         }
     }
 
@@ -63,18 +72,21 @@ impl BatchNorm2d {
     /// Shared backward. The per-channel sums `Σdy` and `Σdy·x̂` are dβ and
     /// dγ; they are formed when `accumulate_params` is set (and then added
     /// to the parameter gradients) or when train-mode `dx` needs them.
-    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [n, c, h, w] = cache.dims;
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> &Tensor {
+        let ws = &mut *self.ws;
+        let (mode, [n, c, h, w]) = ws.last.expect("backward before forward");
         assert_eq!(grad_output.dims(), &[n, c, h, w], "BatchNorm2d gradient shape mismatch");
         let m = (n * h * w) as f32;
         let dy = grad_output.as_slice();
-        let xh = cache.x_hat.as_slice();
+        let xh = ws.x_hat.as_slice();
         let g = self.gamma.value.as_slice();
 
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        if accumulate_params || cache.mode.is_train() {
+        let (dgamma, dbeta) = (&mut ws.dgamma, &mut ws.dbeta);
+        dgamma.clear();
+        dgamma.resize(c, 0.0);
+        dbeta.clear();
+        dbeta.resize(c, 0.0);
+        if accumulate_params || mode.is_train() {
             for ni in 0..n {
                 for ci in 0..c {
                     let plane = (ni * c + ci) * h * w;
@@ -92,12 +104,12 @@ impl BatchNorm2d {
             }
         }
 
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let gi = grad_in.as_mut_slice();
-        if cache.mode.is_train() {
+        ws.dx.reset_for_overwrite(&[n, c, h, w]);
+        let gi = ws.dx.as_mut_slice();
+        if mode.is_train() {
             // dx = (γ·inv_std / M) · (M·dy − Σdy − x̂·Σ(dy·x̂))
             for ci in 0..c {
-                let coeff = g[ci] * cache.inv_std[ci] / m;
+                let coeff = g[ci] * ws.inv_std[ci] / m;
                 let (sum_dy, sum_dy_xh) = (dbeta[ci], dgamma[ci]);
                 for ni in 0..n {
                     let plane = (ni * c + ci) * h * w;
@@ -109,7 +121,7 @@ impl BatchNorm2d {
         } else {
             // Eval mode is a frozen affine map: dx = dy · γ · inv_std.
             for (ci, &gamma) in g.iter().enumerate().take(c) {
-                let coeff = gamma * cache.inv_std[ci];
+                let coeff = gamma * ws.inv_std[ci];
                 for ni in 0..n {
                     let plane = (ni * c + ci) * h * w;
                     for i in plane..plane + h * w {
@@ -118,21 +130,25 @@ impl BatchNorm2d {
                 }
             }
         }
-        grad_in
+        &ws.dx
     }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> &Tensor {
         assert_eq!(input.rank(), 4, "BatchNorm2d expects NCHW input");
         assert_eq!(input.dims()[1], self.channels, "BatchNorm2d channel mismatch");
         let [n, c, h, w] = [input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]];
         let m = (n * h * w) as f32;
         let src = input.as_slice();
+        let ws = &mut *self.ws;
 
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
+        let (mean, var) = (&mut ws.mean, &mut ws.var);
+        mean.clear();
+        var.clear();
         if mode.is_train() {
+            mean.resize(c, 0.0);
+            var.resize(c, 0.0);
             for (ci, mean_c) in mean.iter_mut().enumerate() {
                 let mut s = 0.0;
                 for ni in 0..n {
@@ -158,22 +174,23 @@ impl Layer for BatchNorm2d {
                 *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ci];
             }
         } else {
-            mean.copy_from_slice(self.running_mean.as_slice());
-            var.copy_from_slice(self.running_var.as_slice());
+            mean.extend_from_slice(self.running_mean.as_slice());
+            var.extend_from_slice(self.running_var.as_slice());
         }
 
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut x_hat = Tensor::zeros(input.dims());
-        let mut out = Tensor::zeros(input.dims());
+        ws.inv_std.clear();
+        ws.inv_std.extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+        ws.x_hat.reset_for_overwrite(input.dims());
+        ws.out.reset_for_overwrite(input.dims());
         {
-            let xh = x_hat.as_mut_slice();
-            let o = out.as_mut_slice();
+            let xh = ws.x_hat.as_mut_slice();
+            let o = ws.out.as_mut_slice();
             let g = self.gamma.value.as_slice();
             let b = self.beta.value.as_slice();
             for ni in 0..n {
                 for ci in 0..c {
                     let plane = (ni * c + ci) * h * w;
-                    let (mu, is, gc, bc) = (mean[ci], inv_std[ci], g[ci], b[ci]);
+                    let (mu, is, gc, bc) = (mean[ci], ws.inv_std[ci], g[ci], b[ci]);
                     for i in plane..plane + h * w {
                         let xn = (src[i] - mu) * is;
                         xh[i] = xn;
@@ -182,15 +199,15 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        self.cache = Some(Cache { x_hat, inv_std, mode, dims: [n, c, h, w] });
-        out
+        ws.last = Some((mode, [n, c, h, w]));
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, true)
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, false)
     }
 

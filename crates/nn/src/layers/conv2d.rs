@@ -1,9 +1,11 @@
 //! GEMM-based 2-D convolution.
 
 use rand::Rng;
-use taamr_tensor::{col2im, gemm, im2col_into, with_conv_scratch, Conv2dGeometry, Tensor, Transpose};
+use taamr_tensor::{
+    col2im_into, gemm, im2col_into, with_conv_scratch, Conv2dGeometry, Tensor, Transpose,
+};
 
-use crate::{Layer, Mode, Param};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// A 2-D convolution layer over `N × C × H × W` inputs.
 ///
@@ -11,12 +13,18 @@ use crate::{Layer, Mode, Param};
 /// stored as an `OC × (C·KH·KW)` matrix plus an `OC` bias vector and are
 /// He-initialised.
 ///
-/// The lowering path is allocation-free in steady state: the `cols`
-/// activation cache is rebuilt in place each forward, and the transient
+/// The lowering path is allocation-free in steady state: a copy of the
+/// input, the output and the input gradient live in the layer's workspace
+/// and are rebuilt in place each pass, and the lowering and the transient
 /// matrices (GEMM output, permuted gradient, column gradient) live in the
 /// calling thread's reusable [`taamr_tensor::ConvScratch`], so repeated
 /// passes over same-shaped batches — a training epoch, PGD's ten gradient
 /// steps — stop touching the allocator entirely.
+///
+/// The layer keeps its input rather than its `im2col` lowering, which is
+/// `KH·KW` times larger: the input gradient needs only the input's shape,
+/// and the weight gradient re-lowers the kept input (bit for bit the
+/// forward's lowering) in the scratch.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -24,10 +32,16 @@ pub struct Conv2d {
     geom: Conv2dGeometry,
     in_channels: usize,
     out_channels: usize,
-    /// Cached `im2col` matrix from the last forward pass.
-    cols: Option<Tensor>,
-    /// Cached input dims from the last forward pass.
-    input_dims: Option<[usize; 4]>,
+    ws: Workspace<Work>,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Copy of the last forward's input.
+    input: Tensor,
+    ready: bool,
+    out: Tensor,
+    dx: Tensor,
 }
 
 impl Conv2d {
@@ -49,7 +63,7 @@ impl Conv2d {
         let fan_in = in_channels * kernel * kernel;
         let weight = Param::new(Tensor::he_normal(&[out_channels, fan_in], fan_in, rng));
         let bias = Param::new_no_decay(Tensor::zeros(&[out_channels]));
-        Conv2d { weight, bias, geom, in_channels, out_channels, cols: None, input_dims: None }
+        Conv2d { weight, bias, geom, in_channels, out_channels, ws: Workspace::default() }
     }
 
     /// The convolution geometry (kernel, stride, padding).
@@ -62,36 +76,36 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Permutes a `[OC, N·OH·OW]` GEMM output into NCHW layout.
-    fn to_nchw(mat: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    /// Permutes a `[OC, N·OH·OW]` GEMM output into the NCHW buffer `out`,
+    /// adding each channel's non-zero bias on the way.
+    fn to_nchw_into(mat: &Tensor, bias: &[f32], dims: [usize; 4], out: &mut Tensor) {
+        let [n, oc, oh, ow] = dims;
+        out.reset_for_overwrite(&dims);
         let src = mat.as_slice();
         let dst = out.as_mut_slice();
         let spatial = oh * ow;
-        for o in 0..oc {
+        for (o, &b) in bias.iter().enumerate().take(oc) {
             let row = &src[o * n * spatial..(o + 1) * n * spatial];
             for ni in 0..n {
                 let dst_base = (ni * oc + o) * spatial;
-                let src_base = ni * spatial;
-                dst[dst_base..dst_base + spatial]
-                    .copy_from_slice(&row[src_base..src_base + spatial]);
+                let from = &row[ni * spatial..(ni + 1) * spatial];
+                let to = &mut dst[dst_base..dst_base + spatial];
+                if b != 0.0 {
+                    for (d, &v) in to.iter_mut().zip(from) {
+                        *d = v + b;
+                    }
+                } else {
+                    to.copy_from_slice(from);
+                }
             }
         }
-        out
     }
 
-    /// Inverse of [`Conv2d::to_nchw`].
-    #[cfg(test)]
-    fn from_nchw(t: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        Self::from_nchw_into(t, &mut out);
-        out
-    }
-
-    /// [`Conv2d::from_nchw`] into a reusable buffer.
+    /// Inverse of [`Conv2d::to_nchw_into`] (without the bias): permutes an
+    /// NCHW tensor into a reusable `[OC, N·OH·OW]` matrix.
     fn from_nchw_into(t: &Tensor, out: &mut Tensor) {
         let [n, oc, oh, ow] = [t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]];
-        out.reset_to_zeros(&[oc, n * oh * ow]);
+        out.reset_for_overwrite(&[oc, n * oh * ow]);
         let src = t.as_slice();
         let dst = out.as_mut_slice();
         let spatial = oh * ow;
@@ -108,15 +122,20 @@ impl Conv2d {
     /// Shared backward: `dX = col2im(Wᵀ · dY)`, plus `dW += dY · colsᵀ` and
     /// `db += row sums of dY` when `accumulate_params` is set. The input
     /// gradient does not depend on the flag.
-    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
-        let cols = self.cols.as_ref().expect("backward before forward");
-        let dims = self.input_dims.expect("backward before forward");
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> &Tensor {
+        let ws = &mut *self.ws;
+        assert!(ws.ready, "backward before forward");
+        let input = &ws.input;
+        let dims = [input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]];
+        let dx = &mut ws.dx;
         with_conv_scratch(|scratch| {
             Self::from_nchw_into(grad_output, &mut scratch.grad_mat);
             let grad_mat = &scratch.grad_mat;
 
             if accumulate_params {
-                // dW += dY · colsᵀ
+                // dW += dY · colsᵀ, over the forward's lowering rebuilt.
+                let cols = &mut scratch.cols;
+                im2col_into(input, &self.geom, cols).expect("im2col on validated input");
                 gemm(1.0, grad_mat, Transpose::No, cols, Transpose::Yes, 1.0, &mut self.weight.grad)
                     .expect("conv weight-grad gemm");
                 // db += row sums of dY
@@ -127,9 +146,9 @@ impl Conv2d {
                         g[o * row_len..(o + 1) * row_len].iter().sum::<f32>();
                 }
             }
-            // dX = col2im(Wᵀ · dY)
+            // dX = col2im(Wᵀ · dY); the beta = 0 GEMM overwrites grad_cols.
             let grad_cols = &mut scratch.grad_cols;
-            grad_cols.reset_to_zeros(cols.dims());
+            grad_cols.reset_for_overwrite(&[self.weight.value.dims()[1], grad_mat.dims()[1]]);
             gemm(
                 1.0,
                 &self.weight.value,
@@ -140,51 +159,41 @@ impl Conv2d {
                 grad_cols,
             )
             .expect("conv input-grad gemm");
-            col2im(grad_cols, &dims, &self.geom).expect("col2im on validated shapes")
-        })
+            col2im_into(grad_cols, &dims, &self.geom, dx).expect("col2im on validated shapes");
+        });
+        &ws.dx
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> &Tensor {
         assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(input.dims()[1], self.in_channels, "Conv2d channel mismatch");
         let [n, _, h, w] = [input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]];
         let (oh, ow) = self.geom.output_hw(h, w);
+        let ws = &mut *self.ws;
 
-        // Rebuild the cols cache in place: it is semantic state (backward
-        // needs this forward's lowering), so it lives on the layer, but its
-        // allocation survives across passes.
-        let mut cols = self.cols.take().unwrap_or_else(|| Tensor::zeros(&[0]));
-        im2col_into(input, &self.geom, &mut cols).expect("im2col on validated input");
-        let out = with_conv_scratch(|scratch| {
+        with_conv_scratch(|scratch| {
+            let cols = &mut scratch.cols;
+            im2col_into(input, &self.geom, cols).expect("im2col on validated input");
+            // The beta = 0 GEMM overwrites out_mat.
             let out_mat = &mut scratch.out_mat;
-            out_mat.reset_to_zeros(&[self.out_channels, n * oh * ow]);
-            gemm(1.0, &self.weight.value, Transpose::No, &cols, Transpose::No, 0.0, out_mat)
+            out_mat.reset_for_overwrite(&[self.out_channels, n * oh * ow]);
+            gemm(1.0, &self.weight.value, Transpose::No, cols, Transpose::No, 0.0, out_mat)
                 .expect("conv gemm shapes are consistent by construction");
-            // Add bias per output channel.
-            let row_len = n * oh * ow;
-            let data = out_mat.as_mut_slice();
-            for o in 0..self.out_channels {
-                let b = self.bias.value.as_slice()[o];
-                if b != 0.0 {
-                    for v in &mut data[o * row_len..(o + 1) * row_len] {
-                        *v += b;
-                    }
-                }
-            }
-            Self::to_nchw(out_mat, n, self.out_channels, oh, ow)
+            let dims = [n, self.out_channels, oh, ow];
+            Self::to_nchw_into(out_mat, self.bias.value.as_slice(), dims, &mut ws.out);
         });
-        self.cols = Some(cols);
-        self.input_dims = Some([n, self.in_channels, h, w]);
-        out
+        ws.input.reset_to_copy(input.dims(), input.as_slice());
+        ws.ready = true;
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, true)
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, false)
     }
 
@@ -234,8 +243,10 @@ mod tests {
     #[test]
     fn nchw_permutation_round_trips() {
         let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
-        let mat = Conv2d::from_nchw(&t);
-        let back = Conv2d::to_nchw(&mat, 2, 3, 2, 2);
+        let mut mat = Tensor::default();
+        Conv2d::from_nchw_into(&t, &mut mat);
+        let mut back = Tensor::default();
+        Conv2d::to_nchw_into(&mat, &[0.0; 3], [2, 3, 2, 2], &mut back);
         assert_eq!(back, t);
     }
 

@@ -3,7 +3,7 @@
 use rand::Rng;
 use taamr_tensor::{gemm, Tensor, Transpose};
 
-use crate::{Layer, Mode, Param};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// A fully-connected layer: `y = x · Wᵀ + b` over `N × in` batches.
 ///
@@ -14,7 +14,16 @@ pub struct Dense {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    input: Option<Tensor>,
+    ws: Workspace<Work>,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Copy of the last forward's input (`dW = dYᵀ · X` reads it).
+    input: Tensor,
+    ready: bool,
+    out: Tensor,
+    dx: Tensor,
 }
 
 impl Dense {
@@ -32,7 +41,7 @@ impl Dense {
             rng,
         ));
         let bias = Param::new_no_decay(Tensor::zeros(&[out_features]));
-        Dense { weight, bias, in_features, out_features, input: None }
+        Dense { weight, bias, in_features, out_features, ws: Workspace::default() }
     }
 
     /// Input feature count.
@@ -48,8 +57,10 @@ impl Dense {
     /// Shared backward: `dX = dY · W`, plus `dW += dYᵀ · X` and `db +=`
     /// column sums of `dY` when `accumulate_params` is set. The input
     /// gradient does not depend on the flag.
-    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> Tensor {
-        let input = self.input.as_ref().expect("backward before forward");
+    fn backprop(&mut self, grad_output: &Tensor, accumulate_params: bool) -> &Tensor {
+        let ws = &mut *self.ws;
+        assert!(ws.ready, "backward before forward");
+        let input = &ws.input;
         if accumulate_params {
             // dW += dYᵀ · X
             gemm(1.0, grad_output, Transpose::Yes, input, Transpose::No, 1.0, &mut self.weight.grad)
@@ -58,8 +69,8 @@ impl Dense {
             let col_sums = grad_output.sum_axis0().expect("grad_output is a matrix");
             self.bias.grad.axpy(1.0, &col_sums);
         }
-        // dX = dY · W
-        let mut grad_in = Tensor::zeros(input.dims());
+        // dX = dY · W; the beta = 0 GEMM overwrites dx.
+        ws.dx.reset_for_overwrite(input.dims());
         gemm(
             1.0,
             grad_output,
@@ -67,39 +78,39 @@ impl Dense {
             &self.weight.value,
             Transpose::No,
             0.0,
-            &mut grad_in,
+            &mut ws.dx,
         )
         .expect("dense input-grad gemm");
-        grad_in
+        &ws.dx
     }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> &Tensor {
         assert_eq!(input.rank(), 2, "Dense expects a [batch, features] input");
         assert_eq!(input.dims()[1], self.in_features, "Dense feature mismatch");
         let n = input.dims()[0];
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        gemm(1.0, input, Transpose::No, &self.weight.value, Transpose::Yes, 0.0, &mut out)
+        let ws = &mut *self.ws;
+        // The beta = 0 GEMM overwrites out.
+        ws.out.reset_for_overwrite(&[n, self.out_features]);
+        gemm(1.0, input, Transpose::No, &self.weight.value, Transpose::Yes, 0.0, &mut ws.out)
             .expect("dense gemm shapes validated");
-        {
-            let data = out.as_mut_slice();
-            let b = self.bias.value.as_slice();
-            for row in data.chunks_exact_mut(self.out_features) {
-                for (v, &bj) in row.iter_mut().zip(b) {
-                    *v += bj;
-                }
+        let b = self.bias.value.as_slice();
+        for row in ws.out.as_mut_slice().chunks_exact_mut(self.out_features) {
+            for (v, &bj) in row.iter_mut().zip(b) {
+                *v += bj;
             }
         }
-        self.input = Some(input.clone());
-        out
+        ws.input.reset_to_copy(input.dims(), input.as_slice());
+        ws.ready = true;
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, true)
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, false)
     }
 

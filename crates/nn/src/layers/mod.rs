@@ -1,4 +1,4 @@
-//! Network layers: convolution, normalisation, activation, pooling,
+//! Network layers: convolution, normalisation, activation, global pooling,
 //! fully-connected, residual composition.
 
 use taamr_tensor::Tensor;
@@ -8,7 +8,6 @@ use crate::Layer;
 mod batchnorm;
 mod conv2d;
 mod dense;
-mod flatten;
 mod pool;
 mod relu;
 mod residual;
@@ -17,8 +16,7 @@ mod sequential;
 pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use flatten::Flatten;
-pub use pool::{GlobalAvgPool, MaxPool2d};
+pub use pool::GlobalAvgPool;
 pub use relu::ReLU;
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;
@@ -26,7 +24,7 @@ pub use sequential::Sequential;
 /// One layer's backward step as a container routes it to a child: either
 /// [`Layer::backward`] or [`Layer::backward_input`]. Containers write their
 /// wiring once, over this step.
-pub(crate) type BackwardStep = fn(&mut dyn Layer, &Tensor) -> Tensor;
+pub(crate) type BackwardStep = for<'a> fn(&'a mut dyn Layer, &Tensor) -> &'a Tensor;
 
 #[cfg(test)]
 pub(crate) mod gradcheck {
@@ -45,7 +43,7 @@ pub(crate) mod gradcheck {
             y.dims(),
         )
         .unwrap();
-        let analytic = layer.backward(&w);
+        let analytic = layer.backward(&w).clone();
         assert_eq!(analytic.dims(), x.dims());
 
         let eps = 1e-2f32;
@@ -80,7 +78,7 @@ pub(crate) mod gradcheck {
             y.dims(),
         )
         .unwrap();
-        let analytic = layer.backward(&w);
+        let analytic = layer.backward(&w).clone();
         let eps = 1e-2f32;
         let mut numeric = Tensor::zeros(x.dims());
         for i in 0..x.len() {

@@ -1,97 +1,8 @@
-//! Spatial pooling layers.
+//! Global average pooling.
 
 use taamr_tensor::Tensor;
 
-use crate::{Layer, Mode};
-
-/// Non-overlapping max pooling over `window × window` tiles.
-///
-/// The input spatial size must be divisible by the window.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    window: usize,
-    /// Flat source index of each output element's maximum.
-    argmax: Option<Vec<usize>>,
-    input_dims: Vec<usize>,
-}
-
-impl MaxPool2d {
-    /// Creates a max-pool with the given square window (also the stride).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "pool window must be positive");
-        MaxPool2d { window, argmax: None, input_dims: Vec::new() }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects NCHW input");
-        let [n, c, h, w] = [input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]];
-        assert!(
-            h % self.window == 0 && w % self.window == 0,
-            "spatial size {h}x{w} not divisible by pool window {}",
-            self.window
-        );
-        let (oh, ow) = (h / self.window, w / self.window);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; out.len()];
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * h * w;
-                let out_plane = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane + (oy * self.window) * w + ox * self.window;
-                        let mut best = src[best_idx];
-                        for ky in 0..self.window {
-                            for kx in 0..self.window {
-                                let idx = plane
-                                    + (oy * self.window + ky) * w
-                                    + ox * self.window
-                                    + kx;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = out_plane + oy * ow + ox;
-                        dst[o] = best;
-                        argmax[o] = best_idx;
-                    }
-                }
-            }
-        }
-        self.argmax = Some(argmax);
-        self.input_dims = input.dims().to_vec();
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let argmax = self.argmax.as_ref().expect("backward before forward");
-        assert_eq!(grad_output.len(), argmax.len(), "MaxPool2d gradient length mismatch");
-        let mut grad_in = Tensor::zeros(&self.input_dims);
-        let gi = grad_in.as_mut_slice();
-        for (&src_idx, &g) in argmax.iter().zip(grad_output.as_slice()) {
-            gi[src_idx] += g;
-        }
-        grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
+use crate::{Layer, Mode, Workspace};
 
 /// Global average pooling: `N × C × H × W → N × C`.
 ///
@@ -99,7 +10,15 @@ impl Layer for MaxPool2d {
 /// pooling right after the convolutional part".
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
-    input_dims: Vec<usize>,
+    ws: Workspace<Work>,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Input dims of the last forward pass (`None` before the first).
+    input_dims: Option<[usize; 4]>,
+    out: Tensor,
+    dx: Tensor,
 }
 
 impl GlobalAvgPool {
@@ -110,45 +29,40 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> &Tensor {
         assert_eq!(input.rank(), 4, "GlobalAvgPool expects NCHW input");
         let [n, c, h, w] = [input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]];
         let spatial = (h * w) as f32;
-        let mut out = Tensor::zeros(&[n, c]);
+        let ws = &mut *self.ws;
+        ws.out.reset_for_overwrite(&[n, c]);
         let src = input.as_slice();
-        let dst = out.as_mut_slice();
+        let dst = ws.out.as_mut_slice();
         for ni in 0..n {
             for ci in 0..c {
                 let plane = (ni * c + ci) * h * w;
                 dst[ni * c + ci] = src[plane..plane + h * w].iter().sum::<f32>() / spatial;
             }
         }
-        self.input_dims = input.dims().to_vec();
-        out
+        ws.input_dims = Some([n, c, h, w]);
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.input_dims.is_empty(), "backward before forward");
-        let [n, c, h, w] = [
-            self.input_dims[0],
-            self.input_dims[1],
-            self.input_dims[2],
-            self.input_dims[3],
-        ];
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
+        let ws = &mut *self.ws;
+        let dims = ws.input_dims.expect("backward before forward");
+        let [n, c, h, w] = dims;
         assert_eq!(grad_output.dims(), &[n, c], "GlobalAvgPool gradient shape mismatch");
         let scale = 1.0 / (h * w) as f32;
-        let mut grad_in = Tensor::zeros(&self.input_dims);
-        let gi = grad_in.as_mut_slice();
+        ws.dx.reset_for_overwrite(&dims);
+        let gi = ws.dx.as_mut_slice();
         for ni in 0..n {
             for ci in 0..c {
                 let g = grad_output.as_slice()[ni * c + ci] * scale;
                 let plane = (ni * c + ci) * h * w;
-                for v in &mut gi[plane..plane + h * w] {
-                    *v = g;
-                }
+                gi[plane..plane + h * w].fill(g);
             }
         }
-        grad_in
+        &ws.dx
     }
 
     fn name(&self) -> &'static str {
@@ -165,43 +79,6 @@ mod tests {
     use super::*;
     use crate::layers::gradcheck;
     use taamr_tensor::seeded_rng;
-
-    #[test]
-    fn maxpool_picks_maxima() {
-        let mut p = MaxPool2d::new(2);
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let y = p.forward(&x, Mode::Eval);
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn maxpool_backward_routes_to_argmax() {
-        let mut p = MaxPool2d::new(2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        p.forward(&x, Mode::Eval);
-        let g = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap());
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn maxpool_gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(0);
-        let mut p = MaxPool2d::new(2);
-        // Distinct values so the argmax is stable under ±eps.
-        let x = Tensor::rand_uniform(&[1, 2, 4, 4], 0.0, 10.0, &mut rng);
-        gradcheck::check_input_gradient(&mut p, &x, 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn maxpool_rejects_indivisible_input() {
-        MaxPool2d::new(2).forward(&Tensor::zeros(&[1, 1, 3, 3]), Mode::Eval);
-    }
 
     #[test]
     fn gap_averages_planes() {

@@ -2,13 +2,21 @@
 
 use taamr_tensor::Tensor;
 
-use crate::{Layer, Mode};
+use crate::{Layer, Mode, Workspace};
 
 /// Elementwise `max(0, x)` with the standard subgradient (0 at 0).
 #[derive(Debug, Clone, Default)]
 pub struct ReLU {
-    mask: Option<Vec<bool>>,
-    dims: Vec<usize>,
+    ws: Workspace<Work>,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Output of the last forward; `y > 0` exactly where `x > 0`, so it is
+    /// also the backward mask.
+    out: Tensor,
+    dx: Tensor,
+    ready: bool,
 }
 
 impl ReLU {
@@ -18,25 +26,32 @@ impl ReLU {
     }
 }
 
+/// `dx = dy` where `y > 0`, else 0: the ReLU backward, reading the mask off
+/// the forward output `y` (`y > 0` exactly where the input was positive).
+pub(crate) fn relu_backward_into(y: &Tensor, dy: &Tensor, dx: &mut Tensor) {
+    assert_eq!(dy.dims(), y.dims(), "ReLU gradient shape mismatch");
+    dx.reset_for_overwrite(y.dims());
+    for ((d, &g), &o) in dx.iter_mut().zip(dy.iter()).zip(y.iter()) {
+        *d = if o > 0.0 { g } else { 0.0 };
+    }
+}
+
 impl Layer for ReLU {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mask: Vec<bool> = input.iter().map(|&v| v > 0.0).collect();
-        let out = input.map(|v| v.max(0.0));
-        self.mask = Some(mask);
-        self.dims = input.dims().to_vec();
-        out
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> &Tensor {
+        let ws = &mut *self.ws;
+        ws.out.reset_for_overwrite(input.dims());
+        for (o, &v) in ws.out.iter_mut().zip(input.iter()) {
+            *o = v.max(0.0);
+        }
+        ws.ready = true;
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("backward before forward");
-        assert_eq!(grad_output.dims(), self.dims.as_slice(), "ReLU gradient shape mismatch");
-        let mut grad = grad_output.clone();
-        for (g, &m) in grad.iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        grad
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
+        let ws = &mut *self.ws;
+        assert!(ws.ready, "backward before forward");
+        relu_backward_into(&ws.out, grad_output, &mut ws.dx);
+        &ws.dx
     }
 
     fn name(&self) -> &'static str {

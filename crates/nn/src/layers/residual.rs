@@ -3,8 +3,9 @@
 use rand::Rng;
 use taamr_tensor::Tensor;
 
+use crate::layers::relu::relu_backward_into;
 use crate::layers::{BackwardStep, BatchNorm2d, Conv2d, ReLU};
-use crate::{Layer, Mode, Param};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// A basic ResNet block: `ReLU(BN(conv(ReLU(BN(conv(x))))) + shortcut(x))`.
 ///
@@ -19,8 +20,19 @@ pub struct ResidualBlock {
     conv2: Conv2d,
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
-    /// Mask of the final ReLU (applied after the addition).
-    out_mask: Option<Vec<bool>>,
+    ws: Workspace<Work>,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Output of the final ReLU (applied after the addition); its positive
+    /// entries are the backward mask.
+    out: Tensor,
+    /// `grad_output` masked by the final ReLU: the gradient both branches
+    /// start from.
+    grad_sum: Tensor,
+    dx: Tensor,
+    ready: bool,
 }
 
 impl ResidualBlock {
@@ -48,7 +60,15 @@ impl ResidualBlock {
         } else {
             None
         };
-        ResidualBlock { conv1, bn1, relu1: ReLU::new(), conv2, bn2, shortcut, out_mask: None }
+        ResidualBlock {
+            conv1,
+            bn1,
+            relu1: ReLU::new(),
+            conv2,
+            bn2,
+            shortcut,
+            ws: Workspace::default(),
+        }
     }
 
     /// Whether this block uses a projection shortcut.
@@ -58,60 +78,64 @@ impl ResidualBlock {
 
     /// The block's backward wiring: output-ReLU mask, main branch, shortcut
     /// branch, sum. Every child step goes through `step`.
-    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> Tensor {
-        let mask = self.out_mask.as_ref().expect("backward before forward");
-        let mut g = grad_output.clone();
-        for (v, &m) in g.iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
+    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> &Tensor {
+        let ws = &mut *self.ws;
+        assert!(ws.ready, "backward before forward");
+        relu_backward_into(&ws.out, grad_output, &mut ws.grad_sum);
+        let g = &ws.grad_sum;
         // Main branch.
-        let mut gm = step(&mut self.bn2, &g);
-        gm = step(&mut self.conv2, &gm);
-        gm = step(&mut self.relu1, &gm);
-        gm = step(&mut self.bn1, &gm);
-        gm = step(&mut self.conv1, &gm);
+        let mut gm = step(&mut self.bn2, g);
+        gm = step(&mut self.conv2, gm);
+        gm = step(&mut self.relu1, gm);
+        gm = step(&mut self.bn1, gm);
+        gm = step(&mut self.conv1, gm);
         // Shortcut branch.
         let gs = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = step(bn, &g);
-                step(conv, &t)
+                let t = step(bn, g);
+                step(conv, t)
             }
             None => g,
         };
-        &gm + &gs
+        assert_eq!(gm.dims(), gs.dims(), "ResidualBlock branch gradient shapes differ");
+        ws.dx.reset_for_overwrite(gm.dims());
+        for ((d, &a), &b) in ws.dx.iter_mut().zip(gm.iter()).zip(gs.iter()) {
+            *d = a + b;
+        }
+        &ws.dx
     }
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> &Tensor {
         let mut main = self.conv1.forward(input, mode);
-        main = self.bn1.forward(&main, mode);
-        main = self.relu1.forward(&main, mode);
-        main = self.conv2.forward(&main, mode);
-        main = self.bn2.forward(&main, mode);
+        main = self.bn1.forward(main, mode);
+        main = self.relu1.forward(main, mode);
+        main = self.conv2.forward(main, mode);
+        main = self.bn2.forward(main, mode);
 
         let skip = match &mut self.shortcut {
             Some((conv, bn)) => {
                 let s = conv.forward(input, mode);
-                bn.forward(&s, mode)
+                bn.forward(s, mode)
             }
-            None => input.clone(),
+            None => input,
         };
-        let mut sum = main;
-        sum += &skip;
-        let mask: Vec<bool> = sum.iter().map(|&v| v > 0.0).collect();
-        let out = sum.map(|v| v.max(0.0));
-        self.out_mask = Some(mask);
-        out
+        assert_eq!(main.dims(), skip.dims(), "ResidualBlock branch shapes differ");
+        let ws = &mut *self.ws;
+        ws.out.reset_for_overwrite(main.dims());
+        for ((o, &m), &s) in ws.out.iter_mut().zip(main.iter()).zip(skip.iter()) {
+            *o = (m + s).max(0.0);
+        }
+        ws.ready = true;
+        &ws.out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, |l, g| l.backward(g))
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, |l, g| l.backward_input(g))
     }
 

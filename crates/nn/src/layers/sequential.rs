@@ -3,17 +3,25 @@
 use taamr_tensor::Tensor;
 
 use crate::layers::BackwardStep;
-use crate::{Layer, Mode, Param};
+use crate::{Layer, Mode, Param, Workspace};
 
 /// A stack of layers applied in order; backward runs them in reverse.
+///
+/// Each layer reads the previous layer's output buffer in place: the stack
+/// itself copies nothing (an empty stack copies its input through).
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// The identity's output when the stack is empty.
+    passthrough: Workspace<Tensor>,
 }
 
 impl Clone for Sequential {
     fn clone(&self) -> Self {
-        Sequential { layers: self.layers.iter().map(|l| l.boxed_clone()).collect() }
+        Sequential {
+            layers: self.layers.iter().map(|l| l.boxed_clone()).collect(),
+            passthrough: Workspace::default(),
+        }
     }
 }
 
@@ -53,29 +61,41 @@ impl Sequential {
     }
 
     /// Runs `step` through the layers in reverse order.
-    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = step(layer.as_mut(), &g);
+    fn backprop(&mut self, grad_output: &Tensor, step: BackwardStep) -> &Tensor {
+        let Some((last, init)) = self.layers.split_last_mut() else {
+            return identity(&mut self.passthrough, grad_output);
+        };
+        let mut g = step(last.as_mut(), grad_output);
+        for layer in init.iter_mut().rev() {
+            g = step(layer.as_mut(), g);
         }
         g
     }
 }
 
+/// Copies `t` into `buf`: the empty stack's output and input gradient.
+fn identity<'a>(buf: &'a mut Tensor, t: &Tensor) -> &'a Tensor {
+    buf.reset_to_copy(t.dims(), t.as_slice());
+    buf
+}
+
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> &Tensor {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return identity(&mut self.passthrough, input);
+        };
+        let mut x = first.forward(input, mode);
+        for layer in rest {
+            x = layer.forward(x, mode);
         }
         x
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, |l, g| l.backward(g))
     }
 
-    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_output: &Tensor) -> &Tensor {
         self.backprop(grad_output, |l, g| l.backward_input(g))
     }
 
@@ -110,8 +130,7 @@ mod tests {
             .with(ReLU::new())
             .with(Dense::new(8, 2, &mut rng));
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, Mode::Train);
-        assert_eq!(y.dims(), &[3, 2]);
+        assert_eq!(net.forward(&x, Mode::Train).dims(), &[3, 2]);
         let g = net.backward(&Tensor::ones(&[3, 2]));
         assert_eq!(g.dims(), &[3, 4]);
     }
@@ -130,7 +149,8 @@ mod tests {
         let mut net = Sequential::new();
         assert!(net.is_empty());
         let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(net.forward(&x, Mode::Eval), x);
+        assert_eq!(net.forward(&x, Mode::Eval), &x);
+        assert_eq!(net.backward(&x), &x);
     }
 
     #[test]

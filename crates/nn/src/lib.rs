@@ -4,8 +4,8 @@
 //!
 //! * a [`Layer`] trait with explicit, auditable forward/backward passes,
 //! * the layers a residual CNN needs ([`Conv2d`], [`BatchNorm2d`], [`ReLU`],
-//!   [`MaxPool2d`], [`GlobalAvgPool`], [`Dense`], [`ResidualBlock`],
-//!   [`Sequential`]),
+//!   [`GlobalAvgPool`], [`Dense`], [`ResidualBlock`], [`Sequential`]), each
+//!   writing into buffers it owns so a steady-state pass never allocates,
 //! * fused softmax–cross-entropy loss ([`loss::softmax_cross_entropy`]),
 //! * an SGD optimiser with momentum and weight decay ([`Sgd`]),
 //! * [`TinyResNet`], the stand-in for the paper's ResNet50: a residual CNN
@@ -46,10 +46,8 @@ mod trainer;
 pub use classifier::{FeatureGradient, ImageClassifier};
 pub use distill::{distill, DistillConfig};
 pub use layer::{Layer, Mode, Param};
-pub use layers::{
-    BatchNorm2d, Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2d, ReLU, ResidualBlock,
-    Sequential,
-};
+pub(crate) use layer::Workspace;
+pub use layers::{BatchNorm2d, Conv2d, Dense, GlobalAvgPool, ReLU, ResidualBlock, Sequential};
 pub use optimizer::{LrSchedule, Sgd, SgdConfig};
 pub use resnet::{TinyResNet, TinyResNetConfig};
 pub use trainer::{DivergenceConfig, EpochStats, TrainDiverged, Trainer, TrainerConfig};

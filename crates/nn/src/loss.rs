@@ -27,11 +27,23 @@ use taamr_tensor::Tensor;
 /// # Ok::<(), taamr_tensor::TensorError>(())
 /// ```
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    let mut grad = Tensor::default();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] writing the logit gradient into a reusable
+/// buffer; returns the mean loss. Bitwise identical to the allocating form.
+///
+/// # Panics
+///
+/// As [`softmax_cross_entropy`].
+pub fn softmax_cross_entropy_into(logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32 {
     assert_eq!(logits.rank(), 2, "softmax_cross_entropy expects [batch, classes] logits");
     let (n, c) = (logits.dims()[0], logits.dims()[1]);
     assert_eq!(labels.len(), n, "one label per batch row required");
 
-    let mut grad = Tensor::zeros(&[n, c]);
+    grad.reset_for_overwrite(&[n, c]);
     let mut total_loss = 0.0f64;
     let src = logits.as_slice();
     let g = grad.as_mut_slice();
@@ -53,7 +65,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
             *gv = (p - if j == label { 1.0 } else { 0.0 }) * inv_n;
         }
     }
-    ((total_loss / n as f64) as f32, grad)
+    (total_loss / n as f64) as f32
 }
 
 /// Fused softmax + cross-entropy against *soft* target distributions.
@@ -107,6 +119,18 @@ pub fn soft_cross_entropy(logits: &Tensor, target_probs: &Tensor) -> (f32, Tenso
 ///
 /// Panics if `features` and `target` differ in shape or are not rank-2.
 pub fn feature_match_loss(features: &Tensor, target: &Tensor) -> (f32, Tensor) {
+    let mut grad = Tensor::default();
+    let loss = feature_match_loss_into(features, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`feature_match_loss`] writing the feature gradient into a reusable
+/// buffer; returns the loss. Bitwise identical to the allocating form.
+///
+/// # Panics
+///
+/// As [`feature_match_loss`].
+pub fn feature_match_loss_into(features: &Tensor, target: &Tensor, grad: &mut Tensor) -> f32 {
     assert_eq!(features.rank(), 2, "feature_match_loss expects [batch, D] features");
     assert_eq!(
         features.dims(),
@@ -114,9 +138,14 @@ pub fn feature_match_loss(features: &Tensor, target: &Tensor) -> (f32, Tensor) {
         "one target feature row per batch element required"
     );
     let (n, d) = (features.dims()[0], features.dims()[1]);
-    let diff = features - target;
-    let loss = diff.iter().map(|&v| v * v).sum::<f32>() / (n * d) as f32;
-    (loss, diff.scaled(2.0 / (n * d) as f32))
+    // grad holds f − t first, then is scaled into 2 (f − t) / (N·D).
+    grad.reset_for_overwrite(features.dims());
+    for ((g, &f), &t) in grad.iter_mut().zip(features.iter()).zip(target.iter()) {
+        *g = f - t;
+    }
+    let loss = grad.iter().map(|&v| v * v).sum::<f32>() / (n * d) as f32;
+    grad.scale(2.0 / (n * d) as f32);
+    loss
 }
 
 /// Row-wise softmax of `logits / temperature` — the "softened" distribution

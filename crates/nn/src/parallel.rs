@@ -3,8 +3,9 @@
 //! Eval-mode forward passes are per-sample independent: batch normalisation
 //! applies frozen running statistics, so no layer mixes information across
 //! batch rows. A batch can therefore be split into contiguous sub-batches
-//! evaluated on worker threads, each on its own deep copy of the model
-//! (layers cache activations internally, so workers must not share one).
+//! evaluated on worker threads, each on its own copy of the model (layers
+//! cache activations internally, so workers must not share one; a copy
+//! carries the parameters only and builds its own caches).
 //! Every per-sample output is produced by the same floating-point operation
 //! sequence regardless of how the batch is split, which makes the parallel
 //! results bitwise identical to a serial whole-batch pass for any thread

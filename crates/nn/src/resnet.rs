@@ -4,8 +4,8 @@ use rand::Rng;
 use taamr_tensor::Tensor;
 
 use crate::layers::{BatchNorm2d, Conv2d, Dense, GlobalAvgPool, ReLU, ResidualBlock, Sequential};
-use crate::loss::{feature_match_loss, softmax_cross_entropy};
-use crate::{ImageClassifier, Layer, Mode, Param};
+use crate::loss::{feature_match_loss_into, softmax_cross_entropy_into};
+use crate::{ImageClassifier, Layer, Mode, Param, Workspace};
 
 /// Architecture of a [`TinyResNet`].
 ///
@@ -78,6 +78,9 @@ pub struct TinyResNet {
     trunk: Sequential,
     head: Dense,
     config: TinyResNetConfig,
+    /// Gradient of the loss with respect to the logits (or, on the feature
+    /// path, the features), rewritten by every loss evaluation.
+    loss_grad: Workspace<Tensor>,
 }
 
 impl TinyResNet {
@@ -107,7 +110,7 @@ impl TinyResNet {
         }
         trunk.push(Box::new(GlobalAvgPool::new()));
         let head = Dense::new(channels, config.num_classes, rng);
-        TinyResNet { trunk, head, config: config.clone() }
+        TinyResNet { trunk, head, config: config.clone(), loss_grad: Workspace::default() }
     }
 
     /// The architecture this network was built from.
@@ -120,20 +123,28 @@ impl TinyResNet {
         self.trunk.param_count() + self.head.param_count()
     }
 
-    /// Forward pass returning `(features, logits)` in the given mode.
-    pub fn forward_full(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor) {
+    /// Forward pass returning `(features, logits)` in the given mode,
+    /// borrowed from the network's own output buffers.
+    pub fn forward_full(&mut self, x: &Tensor, mode: Mode) -> (&Tensor, &Tensor) {
         let features = self.trunk.forward(x, mode);
-        let logits = self.head.forward(&features, mode);
+        let logits = self.head.forward(features, mode);
         (features, logits)
+    }
+
+    /// Forward pass plus the cross-entropy loss; the logit gradient is left
+    /// in `loss_grad`.
+    fn forward_loss(&mut self, x: &Tensor, labels: &[usize], mode: Mode) -> f32 {
+        let features = self.trunk.forward(x, mode);
+        let logits = self.head.forward(features, mode);
+        softmax_cross_entropy_into(logits, labels, &mut self.loss_grad)
     }
 
     /// Training step: forward in train mode, backprop the cross-entropy
     /// gradient, and return the batch loss. Parameter gradients accumulate.
     pub fn train_backward(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let (_, logits) = self.forward_full(x, Mode::Train);
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
-        let grad_features = self.head.backward(&grad_logits);
-        let _ = self.trunk.backward(&grad_features);
+        let loss = self.forward_loss(x, labels, Mode::Train);
+        let grad_features = self.head.backward(&self.loss_grad);
+        let _ = self.trunk.backward(grad_features);
         loss
     }
 
@@ -148,7 +159,7 @@ impl TinyResNet {
     /// does not match the last logits.
     pub fn backward_from_logits(&mut self, grad_logits: &Tensor) {
         let grad_features = self.head.backward(grad_logits);
-        let _ = self.trunk.backward(&grad_features);
+        let _ = self.trunk.backward(grad_features);
     }
 
     /// All trainable parameters (trunk then head).
@@ -228,35 +239,32 @@ impl ImageClassifier for TinyResNet {
     }
 
     fn logits(&mut self, x: &Tensor) -> Tensor {
-        let (_, logits) = self.forward_full(x, Mode::Eval);
-        logits
+        self.forward_full(x, Mode::Eval).1.clone()
     }
 
     fn features(&mut self, x: &Tensor) -> Tensor {
-        self.trunk.forward(x, Mode::Eval)
+        self.trunk.forward(x, Mode::Eval).clone()
     }
 
-    fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let (_, logits) = self.forward_full(x, Mode::Eval);
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
-        let grad_features = self.head.backward_input(&grad_logits);
-        let grad_input = self.trunk.backward_input(&grad_features);
-        (loss, grad_input)
+    fn loss_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, &Tensor) {
+        let loss = self.forward_loss(x, labels, Mode::Eval);
+        let grad_features = self.head.backward_input(&self.loss_grad);
+        (loss, self.trunk.backward_input(grad_features))
     }
 }
 
 impl crate::FeatureGradient for TinyResNet {
-    fn feature_loss_input_grad(&mut self, x: &Tensor, target_features: &Tensor) -> (f32, Tensor) {
+    fn feature_loss_input_grad(&mut self, x: &Tensor, target_features: &Tensor) -> (f32, &Tensor) {
         let features = self.trunk.forward(x, Mode::Eval);
-        let (loss, grad_features) = feature_match_loss(&features, target_features);
-        let grad_input = self.trunk.backward_input(&grad_features);
-        (loss, grad_input)
+        let loss = feature_match_loss_into(features, target_features, &mut self.loss_grad);
+        (loss, self.trunk.backward_input(&self.loss_grad))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{feature_match_loss, softmax_cross_entropy};
     use taamr_tensor::seeded_rng;
 
     #[test]
@@ -296,7 +304,7 @@ mod tests {
         let mut net = TinyResNet::new(&cfg, &mut seeded_rng(4));
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], 0.2, 0.8, &mut seeded_rng(5));
         let labels = [1usize];
-        let (_, analytic) = net.loss_input_grad(&x, &labels);
+        let analytic = net.loss_input_grad(&x, &labels).1.clone();
         let eps = 1e-2f32;
         // Full numeric gradient, compared by direction: individual pixels
         // near ReLU kinks are noisy under finite differences.
@@ -398,13 +406,13 @@ mod tests {
         // Reference: the training backward, which also accumulates weights.
         let mut full = net.clone();
         let (_, logits) = full.forward_full(&x, Mode::Eval);
-        let (loss_full, grad_logits) = softmax_cross_entropy(&logits, &labels);
+        let (loss_full, grad_logits) = softmax_cross_entropy(logits, &labels);
         let grad_features = full.head.backward(&grad_logits);
-        let dx_full = full.trunk.backward(&grad_features);
+        let dx_full = full.trunk.backward(grad_features);
 
         let (loss, dx) = net.loss_input_grad(&x, &labels);
         assert_eq!(loss.to_bits(), loss_full.to_bits());
-        assert_eq!(bits(&dx), bits(&dx_full));
+        assert_eq!(bits(dx), bits(dx_full));
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn assert_input_only_backward_matches(layer: &mut dyn Layer, x: &Tensor, mode: M
     let mut full = layer.boxed_clone();
     let y = layer.forward(x, mode);
     let y_full = full.forward(x, mode);
-    assert_eq!(bits(&y), bits(&y_full), "the two copies must run the same forward");
+    assert_eq!(bits(y), bits(y_full), "the two copies must run the same forward");
     let gy = Tensor::randn(y.dims(), 0.0, 1.0, &mut seeded_rng(seed));
 
     seed_grads(full.as_mut());
@@ -47,7 +47,7 @@ fn assert_input_only_backward_matches(layer: &mut dyn Layer, x: &Tensor, mode: M
     let dx = layer.backward_input(&gy);
 
     assert_eq!(dx.dims(), x.dims());
-    assert_eq!(bits(&dx), bits(&dx_full), "{}: backward_input dX != backward dX", layer.name());
+    assert_eq!(bits(dx), bits(dx_full), "{}: backward_input dX != backward dX", layer.name());
     assert_eq!(grad_bits(layer), grads_before, "{}: backward_input moved a Param::grad", layer.name());
     if !grads_before.is_empty() {
         assert_ne!(

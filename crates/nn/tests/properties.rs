@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use taamr_nn::loss::{softmax, softmax_cross_entropy};
 use taamr_nn::{ImageClassifier, Layer, Mode, TinyResNet, TinyResNetConfig};
-use taamr_nn::{Conv2d, Dense, GlobalAvgPool, MaxPool2d, ReLU};
+use taamr_nn::{Conv2d, Dense, GlobalAvgPool, ReLU};
 use taamr_tensor::{seeded_rng, Tensor};
 
 proptest! {
@@ -22,11 +22,11 @@ proptest! {
         let padding = kernel / 2;
         let mut conv = Conv2d::new(in_ch, out_ch, kernel, stride, padding, &mut seeded_rng(seed));
         let x = Tensor::rand_uniform(&[2, in_ch, hw, hw], 0.0, 1.0, &mut seeded_rng(seed + 1));
-        let y = conv.forward(&x, Mode::Eval);
+        let y_dims = conv.forward(&x, Mode::Eval).dims().to_vec();
         let expect = (hw + 2 * padding - kernel) / stride + 1;
-        prop_assert_eq!(y.dims(), &[2, out_ch, expect, expect]);
+        prop_assert_eq!(&y_dims, &[2, out_ch, expect, expect]);
         // Backward returns the input shape.
-        let g = conv.backward(&Tensor::ones(y.dims()));
+        let g = conv.backward(&Tensor::ones(&y_dims));
         prop_assert_eq!(g.dims(), x.dims());
     }
 
@@ -93,29 +93,11 @@ proptest! {
     }
 
     #[test]
-    fn pooling_preserves_extremes(hw in prop::sample::select(vec![4usize, 8]), seed in 0u64..50) {
+    fn global_avg_pool_preserves_the_mean(hw in 2usize..9, seed in 0u64..50) {
         let x = Tensor::rand_uniform(&[1, 2, hw, hw], 0.0, 1.0, &mut seeded_rng(seed));
-        let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x, Mode::Eval);
-        // Pool output max equals input max per channel.
-        for c in 0..2 {
-            let plane_in: Vec<f32> = (0..hw * hw)
-                .map(|k| x.as_slice()[c * hw * hw + k])
-                .collect();
-            let oh = hw / 2;
-            let plane_out: Vec<f32> = (0..oh * oh)
-                .map(|k| y.as_slice()[c * oh * oh + k])
-                .collect();
-            let max_in = plane_in.iter().cloned().fold(f32::MIN, f32::max);
-            let max_out = plane_out.iter().cloned().fold(f32::MIN, f32::max);
-            prop_assert!((max_in - max_out).abs() < 1e-6);
-        }
-        // Global average pooling preserves the mean.
         let mut gap = GlobalAvgPool::new();
         let z = gap.forward(&x, Mode::Eval);
-        let mean_in = x.mean();
-        let mean_out = z.mean();
-        prop_assert!((mean_in - mean_out).abs() < 1e-5);
+        prop_assert!((x.mean() - z.mean()).abs() < 1e-5);
     }
 
     #[test]
@@ -124,10 +106,10 @@ proptest! {
         let mut dense = Dense::new(6, 4, &mut seeded_rng(seed));
         let x = Tensor::randn(&[3, 6], 0.0, 2.0, &mut seeded_rng(seed + 1));
         let h = relu.forward(&x, Mode::Train);
-        let y = dense.forward(&h, Mode::Train);
+        let y = dense.forward(h, Mode::Train);
         let gy = Tensor::ones(y.dims());
         let gh = dense.backward(&gy);
-        let gx = relu.backward(&gh);
+        let gx = relu.backward(gh);
         prop_assert!(gx.all_finite());
         prop_assert_eq!(gx.dims(), x.dims());
     }

@@ -36,6 +36,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use serde::Serialize;
+
 use crate::error::ServeError;
 use crate::http::{respond_with, Conn, ReadOutcome, Request, CLIENT_READ_TIMEOUT};
 use crate::ledger::Accountant;
@@ -214,10 +216,19 @@ struct ConnKnobs {
     max_requests: usize,
 }
 
+/// The JSON body of a typed error: `{"error": <kind>, "detail": <message>}`.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+    detail: String,
+}
+
 fn error_body(err: &ServeError) -> String {
-    // Hand-rolled object: two string fields, no escaping subtleties beyond
-    // what `{:?}` already guarantees for the message.
-    format!(r#"{{"error":{:?},"detail":{:?}}}"#, err.kind(), err.to_string())
+    // Through the JSON encoder, which escapes control bytes: a detail can
+    // echo raw request bytes (a method or slot name), and Rust's `{:?}`
+    // escapes (`\u{1}`) are not JSON.
+    let body = ErrorBody { error: err.kind().to_owned(), detail: err.to_string() };
+    serde_json::to_string(&body).unwrap_or_default()
 }
 
 /// The keep-alive request loop for one connection. State machine:

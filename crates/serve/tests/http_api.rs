@@ -383,3 +383,31 @@ fn shutdown_is_clean_and_reentrant_for_new_servers() {
     assert_eq!(status, 200);
     server.shutdown();
 }
+
+#[test]
+fn error_bodies_echoing_control_bytes_are_valid_json() {
+    use std::io::Write;
+
+    let (server, _sup, _dir) = start();
+    let addr = server.addr();
+    // A method and a slot name carrying a raw 0x01 byte: both come back in
+    // the error's detail, which must stay parseable JSON.
+    for (request, status) in [
+        (&b"G\x01T /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"[..], 400),
+        (&b"GET /recommend/b\x01pr/0 HTTP/1.1\r\nConnection: close\r\n\r\n"[..], 404),
+    ] {
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(request).unwrap();
+        let (text, closed) = read_until_closed(&mut raw);
+        assert!(closed, "response: {text:?}");
+        assert!(text.starts_with(&format!("HTTP/1.1 {status} ")), "response: {text:?}");
+        let body = &text[text.find("\r\n\r\n").expect("a response head") + 4..];
+        let value = serde_json::parse_value(body)
+            .unwrap_or_else(|e| panic!("error body {body:?} is not JSON: {e}"));
+        let detail = value.get_field("detail").and_then(|d| d.as_str()).expect("a detail string");
+        assert!(detail.contains('\u{1}'), "the detail should carry the raw byte: {detail:?}");
+    }
+
+    server.shutdown();
+}

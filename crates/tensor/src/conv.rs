@@ -70,6 +70,19 @@ impl Conv2dGeometry {
     }
 }
 
+/// The in-bounds output-column band of kernel column `kw`: returns
+/// `(shift, ox_lo, ox_hi)` such that the input column `ix = ox·stride +
+/// shift` lies inside `[0, w)` exactly for `ox` in `[ox_lo, ox_hi)`
+/// (`ox_lo == ox_hi` when the tap only ever reads padding).
+fn tap_band(kw: usize, geom: &Conv2dGeometry, w: usize, ow: usize) -> (isize, usize, usize) {
+    let stride = geom.stride;
+    let shift = kw as isize - geom.padding as isize;
+    let ox_lo = if shift >= 0 { 0 } else { ((-shift) as usize).div_ceil(stride) }.min(ow);
+    let last_ix = w as isize - 1 - shift;
+    let ox_hi = if last_ix < 0 { 0 } else { (last_ix as usize / stride + 1).min(ow) };
+    (shift, ox_lo, ox_hi.max(ox_lo))
+}
+
 /// Lowers an `N × C × H × W` input into the column matrix used by a
 /// GEMM-based convolution.
 ///
@@ -126,13 +139,8 @@ pub fn im2col_into(
         let kw = row % kernel_w;
         let kh = (row / kernel_w) % kernel_h;
         let ci = row / (kernel_h * kernel_w);
-        // ix = ox·stride + shift stays inside [0, w) for ox in
-        // [ox_lo, ox_hi); everything outside that band is zero padding.
-        let shift = kw as isize - pad;
-        let ox_lo = if shift >= 0 { 0 } else { ((-shift) as usize).div_ceil(stride) }.min(ow);
-        let last_ix = w as isize - 1 - shift;
-        let ox_hi = if last_ix < 0 { 0 } else { (last_ix as usize / stride + 1).min(ow) };
-        let ox_hi = ox_hi.max(ox_lo);
+        // Everything outside the tap's band is zero padding.
+        let (shift, ox_lo, ox_hi) = tap_band(kw, geom, w, ow);
         for ni in 0..n {
             let img_base = (ni * c + ci) * h * w;
             for oy in 0..oh {
@@ -234,13 +242,20 @@ pub fn col2im_into(
     // collide *within* an image, and the `ci → kh → kw → oy → ox` order
     // fixes each pixel's accumulation sequence, so per-image parallelism is
     // exact.
+    //
+    // Within one tap every pixel receives at most one contribution (`ix` is
+    // injective in `ox`), so walking only the tap's in-bounds band
+    // `[ox_lo, ox_hi)` — a slice add at stride 1 — keeps that sequence.
     let scatter_image = |ni: usize, img: &mut [f32]| {
         for ci in 0..c {
+            let chan_base = ci * h * w;
             for kh in 0..kernel_h {
                 for kw in 0..kernel_w {
-                    let row = (ci * kernel_h + kh) * kernel_w + kw;
-                    let row_base = row * ncols;
-                    let chan_base = ci * h * w;
+                    let (shift, ox_lo, ox_hi) = tap_band(kw, geom, w, ow);
+                    if ox_lo == ox_hi {
+                        continue;
+                    }
+                    let row_base = ((ci * kernel_h + kh) * kernel_w + kw) * ncols;
                     for oy in 0..oh {
                         let iy = (oy * stride) as isize + kh as isize - pad;
                         if iy < 0 || iy >= h as isize {
@@ -248,12 +263,16 @@ pub fn col2im_into(
                         }
                         let dst_row = chan_base + iy as usize * w;
                         let col_base = row_base + (ni * oh + oy) * ow;
-                        for ox in 0..ow {
-                            let ix = (ox * stride) as isize + kw as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        let band = &src[col_base + ox_lo..col_base + ox_hi];
+                        let ix0 = ((dst_row + ox_lo * stride) as isize + shift) as usize;
+                        if stride == 1 {
+                            for (d, &v) in img[ix0..ix0 + band.len()].iter_mut().zip(band) {
+                                *d += v;
                             }
-                            img[dst_row + ix as usize] += src[col_base + ox];
+                        } else {
+                            for (d, &v) in img[ix0..].iter_mut().step_by(stride).zip(band) {
+                                *d += v;
+                            }
                         }
                     }
                 }

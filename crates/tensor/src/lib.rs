@@ -52,6 +52,7 @@ pub use gemm::{
 };
 pub use partition::{aligned_blocks, block_grid, GridTask};
 pub use init::seeded_rng;
+pub use ops::signum;
 pub use scratch::{
     conv_scratch_footprint, gemm_scratch_footprint, with_conv_scratch, with_gemm_scratch,
     ConvScratch, GemmScratch,

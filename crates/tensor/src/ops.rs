@@ -4,6 +4,20 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::{Tensor, TensorError};
 
+/// Sign of one element: −1, 0, or 1, with 0 (and NaN) mapping to 0 — unlike
+/// [`f32::signum`], which maps ±0 to ±1. The signed-gradient attacks step by
+/// `α · signum(∇)`, so a zero gradient component leaves its pixel alone.
+#[inline]
+pub fn signum(v: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else if v < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
+}
+
 impl Tensor {
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {
         if self.shape != other.shape {
@@ -126,17 +140,9 @@ impl Tensor {
         self.map_inplace(|v| v.clamp(lo, hi));
     }
 
-    /// Elementwise sign: −1, 0, or 1.
+    /// Elementwise sign: −1, 0, or 1 (see [`signum`]).
     pub fn signum(&self) -> Tensor {
-        self.map(|v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        })
+        self.map(signum)
     }
 
     /// Sets every element to zero, keeping the allocation.

@@ -12,8 +12,8 @@
 //!   staging). Pass one explicitly to
 //!   [`gemm_with_scratch`](crate::gemm_with_scratch), or let
 //!   [`gemm`](crate::gemm) borrow the calling thread's.
-//! * [`ConvScratch`] — the convolution lowering's reusable intermediates,
-//!   lent out per call through [`with_conv_scratch`].
+//! * [`ConvScratch`] — the convolution lowering and its reusable
+//!   intermediates, lent out per call through [`with_conv_scratch`].
 //!
 //! Both default to **thread-local** storage: a thread that runs many GEMMs or
 //! conv layers (the trainer loop, a PGD attack worker iterating ten gradient
@@ -98,11 +98,13 @@ impl GemmScratch {
 /// Reusable intermediates for the `im2col`-lowered convolution path.
 ///
 /// These are pure workspaces — fully rewritten by every forward/backward
-/// call — unlike a layer's cached `cols` activation, which is semantic state
-/// and stays on the layer. Borrow the calling thread's instance with
-/// [`with_conv_scratch`].
+/// call. A layer keeps its (much smaller) input, not its lowering, and
+/// re-lowers into `cols` when a backward needs it. Borrow the calling
+/// thread's instance with [`with_conv_scratch`].
 #[derive(Debug)]
 pub struct ConvScratch {
+    /// The `im2col` lowering (`C·KH·KW × N·OH·OW`) of the current input.
+    pub cols: Tensor,
     /// Forward GEMM output (`OC × N·OH·OW`) before the NCHW permute.
     pub out_mat: Tensor,
     /// Backward: `grad_output` permuted to `OC × N·OH·OW`.
@@ -114,6 +116,7 @@ pub struct ConvScratch {
 impl ConvScratch {
     fn new() -> Self {
         ConvScratch {
+            cols: Tensor::zeros(&[0]),
             out_mat: Tensor::zeros(&[0]),
             grad_mat: Tensor::zeros(&[0]),
             grad_cols: Tensor::zeros(&[0]),
@@ -122,7 +125,10 @@ impl ConvScratch {
 
     /// Total capacity of the held buffers, in `f32` elements.
     pub fn footprint(&self) -> usize {
-        self.out_mat.data.capacity() + self.grad_mat.data.capacity() + self.grad_cols.data.capacity()
+        [&self.cols, &self.out_mat, &self.grad_mat, &self.grad_cols]
+            .iter()
+            .map(|t| t.data.capacity())
+            .sum()
     }
 }
 

@@ -28,6 +28,13 @@ impl Shape {
         Shape { dims: dims.to_vec() }
     }
 
+    /// Overwrites the dimension sizes in place, reusing the allocation when
+    /// the rank does not grow.
+    pub(crate) fn set(&mut self, dims: &[usize]) {
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+    }
+
     /// The dimension sizes.
     pub fn dims(&self) -> &[usize] {
         &self.dims

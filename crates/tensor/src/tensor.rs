@@ -50,11 +50,19 @@ impl Tensor {
     /// the first pass. Reuse vs. growth is recorded in the
     /// `scratch_reuse_hits` / `scratch_grows` telemetry counters.
     pub fn reset_to_zeros(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        crate::scratch::count_reuse(shape.len() > self.data.capacity());
+        let len = self.reshape_for_reuse(dims);
         self.data.clear();
-        self.data.resize(shape.len(), 0.0);
-        self.shape = shape;
+        self.data.resize(len, 0.0);
+    }
+
+    /// Sets the shape to `dims` in place (no allocation when the rank does
+    /// not grow), records reuse vs. growth of the data buffer, and returns
+    /// the new element count.
+    fn reshape_for_reuse(&mut self, dims: &[usize]) -> usize {
+        self.shape.set(dims);
+        let len = self.shape.len();
+        crate::scratch::count_reuse(len > self.data.capacity());
+        len
     }
 
     /// Reshapes this tensor in place to `dims` *without* clearing retained
@@ -65,14 +73,13 @@ impl Tensor {
     /// `im2col` lowering), the memset [`Tensor::reset_to_zeros`] performs is
     /// pure overhead; this variant skips it. Elements carried over from a
     /// previous use hold stale values until the caller overwrites them, so
-    /// this is only safe-by-contract for full overwrites — hence
-    /// crate-private. Newly grown elements are zeroed (Vec growth), keeping
-    /// the method free of `unsafe`.
-    pub(crate) fn reset_for_overwrite(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        crate::scratch::count_reuse(shape.len() > self.data.capacity());
-        self.data.resize(shape.len(), 0.0);
-        self.shape = shape;
+    /// call it only ahead of a fill that writes every element (a layer's
+    /// output or gradient buffer, a GEMM with `beta = 0`). Newly grown
+    /// elements are zeroed (Vec growth), keeping the method free of
+    /// `unsafe`.
+    pub fn reset_for_overwrite(&mut self, dims: &[usize]) {
+        let len = self.reshape_for_reuse(dims);
+        self.data.resize(len, 0.0);
     }
 
     /// Reshapes this tensor in place to `dims` and copies `src` into it,
@@ -87,12 +94,10 @@ impl Tensor {
     ///
     /// Panics if `src.len()` does not equal the product of `dims`.
     pub fn reset_to_copy(&mut self, dims: &[usize], src: &[f32]) {
-        let shape = Shape::new(dims);
-        assert_eq!(src.len(), shape.len(), "reset_to_copy source length mismatch");
-        crate::scratch::count_reuse(shape.len() > self.data.capacity());
+        assert_eq!(src.len(), dims.iter().product::<usize>(), "reset_to_copy source length mismatch");
+        self.reshape_for_reuse(dims);
         self.data.clear();
         self.data.extend_from_slice(src);
-        self.shape = shape;
     }
 
     /// Reshapes this tensor in place to `dims` and copies `row` into every
@@ -108,15 +113,13 @@ impl Tensor {
     ///
     /// Panics if `dims` is empty or `row.len()` differs from its last entry.
     pub fn reset_to_tiled_rows(&mut self, dims: &[usize], row: &[f32]) {
-        let shape = Shape::new(dims);
         assert_eq!(dims.last(), Some(&row.len()), "reset_to_tiled_rows row length mismatch");
-        crate::scratch::count_reuse(shape.len() > self.data.capacity());
+        let len = self.reshape_for_reuse(dims);
         self.data.clear();
-        let rows = if row.is_empty() { 0 } else { shape.len() / row.len() };
+        let rows = if row.is_empty() { 0 } else { len / row.len() };
         for _ in 0..rows {
             self.data.extend_from_slice(row);
         }
-        self.shape = shape;
     }
 
     /// Creates the `n × n` identity matrix.

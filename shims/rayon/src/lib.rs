@@ -344,8 +344,13 @@ where
         fn drop(&mut self) {
             let mut st = self.status.lock().unwrap_or_else(|e| e.into_inner());
             st.retired += 1;
-            drop(st);
+            // Notify before unlocking. Once the lock is released the caller
+            // can see the final count (woken by an earlier retire's notify)
+            // and return, freeing the region and its condvar on its stack;
+            // a notify after that would write into the caller's reused
+            // stack.
             self.cv.notify_all();
+            drop(st);
         }
     }
     let _retire = Retire { status: &region.status, cv: &region.done_cv };

@@ -18,6 +18,7 @@
 //!   sliver once regardless of worker count, so anything below 1.5× on
 //!   real cores means the partition or the pack-reuse path regressed.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use taamr::parallel::with_threads;
@@ -30,6 +31,15 @@ fn perf_tests_disabled() -> bool {
     }
     eprintln!("perf_kernel: skipped (set TAAMR_PERF_TESTS=1 to enable)");
     true
+}
+
+/// Held by each timing test for its whole run: the harness runs tests on
+/// parallel threads, and two timing loops sharing the host's cores would
+/// each measure the other's load.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn exclusive_timing() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Cores the OS will actually give us; 1 when the query fails.
@@ -65,6 +75,7 @@ fn gemm_256_parallel_dispatch_is_not_slower_than_serial() {
     if perf_tests_disabled() {
         return;
     }
+    let _timing = exclusive_timing();
     // Best-of-3 medians: the smoke form retries the whole measurement so a
     // single scheduler hiccup on a shared box cannot fail the gate.
     let mut best_ratio = f64::INFINITY;
@@ -108,6 +119,7 @@ fn gemm_256_parallel_scales_on_multicore_hosts() {
         );
         return;
     }
+    let _timing = exclusive_timing();
     let mut best_speedup = 0.0f64;
     for attempt in 0..3 {
         let serial = time_gemm_256(Some(1));
