@@ -10,10 +10,10 @@
 //! top-K selection alone on one `catalog_sweep`-shaped row: K = 100, the
 //! whole catalog, and K = 100 of a row in ascending order; and on one
 //! `recommend_churn`-shaped row, K = 20 of 10 000 items. The
-//! `gather/one_user_of_10000` and `score_block/64_users_of_20000` rows time
-//! the engine's two scoring calls alone at the serving shapes (VBPR,
-//! feature and factor dims 16): a `recommend_churn` cache miss and one
-//! user block of a `catalog_sweep`.
+//! `gather/one_user_of_10000` and `score_block/<SCORE_BLOCK_USERS>_users_of_20000`
+//! rows time the engine's two scoring calls alone at the serving shapes
+//! (VBPR, feature and factor dims 16): a `recommend_churn` cache miss and
+//! one user block of a `catalog_sweep`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -170,7 +170,7 @@ fn bench_serving_shapes(c: &mut Criterion) {
         });
     });
     let m = serving_model(2_048, 20_000);
-    c.bench_function("score_block/64_users_of_20000", |b| {
+    c.bench_function(&format!("score_block/{SCORE_BLOCK_USERS}_users_of_20000"), |b| {
         rayon::with_threads(1, || {
             let engine = ScoringEngine::for_model(&m);
             let mut block = ScoreBlock::new();

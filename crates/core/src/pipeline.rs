@@ -12,9 +12,10 @@ use taamr_data::{ImplicitDataset, SyntheticDataset};
 use taamr_metrics::chr::category_hit_ratio_all;
 use taamr_metrics::image::{psnr, ssim};
 use taamr_metrics::psm;
-use taamr_nn::parallel::{par_features, par_predict};
+use taamr_nn::parallel::par_features;
 use taamr_nn::{
-    ImageClassifier, LrSchedule, SgdConfig, TinyResNet, TinyResNetConfig, Trainer, TrainerConfig,
+    ImageClassifier, LrSchedule, Mode, SgdConfig, TinyResNet, TinyResNetConfig, Trainer,
+    TrainerConfig,
 };
 use taamr_recsys::{
     Amr, PairwiseConfig, PairwiseTrainer, Recommender, ScoringEngine, Vbpr, VisualRecommender,
@@ -24,7 +25,7 @@ use taamr_vision::{tensor_to_images, Category, ProductImageGenerator};
 
 use taamr_fault::FaultSite;
 
-use crate::catalog::{extract_features, l2_normalize_rows, render_training_set, CatalogImages};
+use crate::catalog::{l2_normalize_rows, render_training_set, CatalogImages};
 use crate::checkpoint::{fnv1a64, RunDir};
 use crate::error::PipelineError;
 use crate::report::{CellError, DatasetReport, Figure2Report, VisualQuality};
@@ -273,21 +274,43 @@ fn interrupt_after(ordinal: u64, stage: &str) -> Result<(), PipelineError> {
     Ok(())
 }
 
-/// Accuracy of `classifier` on the (unseen) catalog renders: how often it
-/// assigns catalog items to their generating category.
-fn holdout_accuracy(
+/// Clean catalog features (row-major `items × feature_dim`) and the hold-out
+/// accuracy, from one eval-mode pass over the catalog renders in batches of
+/// 16 on worker threads. The accuracy is how often the classifier assigns
+/// catalog items to their generating category (these renders were never
+/// trained on). Eval-mode forwards never mix batch rows, so both outputs
+/// are bitwise independent of the batch size and thread count.
+fn catalog_features(
     classifier: &TinyResNet,
     catalog: &CatalogImages,
     dataset: &ImplicitDataset,
-) -> f32 {
-    let all_images = taamr_vision::images_to_tensor(catalog.images());
-    let preds = par_predict(classifier, &all_images, 64);
-    let correct = preds
-        .iter()
+) -> (Vec<f32>, f32) {
+    const BATCH: usize = 16;
+    let parts: Vec<(Vec<f32>, usize)> = catalog
+        .images()
+        .par_chunks(BATCH)
         .enumerate()
-        .filter(|(i, p)| **p == dataset.item_category(*i))
-        .count();
-    correct as f32 / dataset.num_items() as f32
+        .map_init(
+            || classifier.clone(),
+            |net, (c, chunk)| {
+                let batch = taamr_vision::images_to_tensor(chunk);
+                let (features, logits) = net.forward_full(&batch, Mode::Eval);
+                let preds = match logits.argmax_rows() {
+                    Ok(preds) => preds,
+                    Err(e) => unreachable!("logits are a non-empty matrix: {e}"),
+                };
+                let correct = preds
+                    .iter()
+                    .enumerate()
+                    .filter(|&(r, &p)| p == dataset.item_category(c * BATCH + r))
+                    .count();
+                (features.as_slice().to_vec(), correct)
+            },
+        )
+        .collect();
+    let (features, correct): (Vec<Vec<f32>>, Vec<usize>) = parts.into_iter().unzip();
+    let accuracy = correct.iter().sum::<usize>() as f32 / dataset.num_items() as f32;
+    (features.concat(), accuracy)
 }
 
 impl Pipeline {
@@ -429,11 +452,7 @@ impl Pipeline {
         //    classifier, so it needs no checkpoint.
         let feature_span = taamr_obs::span("stage:catalog-features");
         let catalog = CatalogImages::render(dataset, &generator);
-        let features = extract_features(&classifier, catalog.images(), 16);
-        // Hold-out accuracy: how often the classifier assigns catalog items
-        // to their generating category (these renders were never trained on).
-        let cnn_holdout_accuracy =
-            holdout_accuracy(&classifier, &catalog, dataset);
+        let (features, cnn_holdout_accuracy) = catalog_features(&classifier, &catalog, dataset);
         drop(feature_span);
         taamr_replay::record_with(taamr_replay::CommandKind::Evaluate, "features", || {
             taamr_replay::hash_f32s(&features)
@@ -608,9 +627,8 @@ impl Pipeline {
     /// hold-out accuracy, and the recommenders' visual features.
     fn refresh_classifier_dependents(&mut self) {
         let _span = taamr_obs::span("stage:refresh-classifier-dependents");
-        self.features = extract_features(&self.classifier, self.catalog.images(), 16);
-        self.cnn_holdout_accuracy =
-            holdout_accuracy(&self.classifier, &self.catalog, &self.generated.dataset);
+        (self.features, self.cnn_holdout_accuracy) =
+            catalog_features(&self.classifier, &self.catalog, &self.generated.dataset);
         let d = self.classifier.feature_dim();
         let mut rec_features = self.features.clone();
         l2_normalize_rows(&mut rec_features, d);

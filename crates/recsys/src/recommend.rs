@@ -20,7 +20,9 @@
 //! lower index first. [`top_n_with`] makes one pass over the row and keeps
 //! the best `min(n, candidates)` entries in a bounded unsorted buffer (cut
 //! back with a partial selection whenever it fills), then sorts only the
-//! survivors.
+//! survivors. On a long row the pass starts from an exact lower bound on
+//! the list's keys, taken from interleaved group maxima (see
+//! [`starting_floor`]), so most scores never enter the buffer.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -48,6 +50,9 @@ impl SelectionScratch {
         SelectionScratch::default()
     }
 }
+
+/// Number of interleaved groups whose maxima bound the starting floor.
+const FLOOR_GROUPS: usize = 128;
 
 /// One kept candidate: its [`order_key`] and its index.
 #[derive(Debug, Clone, Copy)]
@@ -157,10 +162,41 @@ pub fn top_n_with(
     scratch: &mut SelectionScratch,
 ) -> Vec<usize> {
     assert!(n > 0, "n must be positive");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the callee only requires AVX2, which the runtime check
+        // just confirmed this CPU supports.
+        return unsafe { top_n_avx2(scores, n, exclude, scratch) };
+    }
+    top_n_impl(scores, n, exclude, scratch)
+}
+
+/// The AVX2-compiled clone of [`top_n_impl`]: the key, mask and maxima
+/// loops run 8 lanes wide. Selection only compares floats and moves
+/// integers, with no float arithmetic, so both copies return the same list.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn top_n_avx2(
+    scores: &[f32],
+    n: usize,
+    exclude: &[usize],
+    scratch: &mut SelectionScratch,
+) -> Vec<usize> {
+    top_n_impl(scores, n, exclude, scratch)
+}
+
+/// The body of [`top_n_with`], inlined into each compiled copy.
+#[inline(always)]
+fn top_n_impl(
+    scores: &[f32],
+    n: usize,
+    exclude: &[usize],
+    scratch: &mut SelectionScratch,
+) -> Vec<usize> {
     let SelectionScratch { best, exclude: exclude_buf } = scratch;
     let excluded = normalised_exclude(exclude, exclude_buf);
-    let candidates = scores.len() - excluded.partition_point(|&e| e < scores.len());
-    let take = n.min(candidates);
+    let inside = excluded.partition_point(|&e| e < scores.len());
+    let take = n.min(scores.len() - inside);
     best.clear();
     if take == 0 {
         return Vec::new();
@@ -172,7 +208,7 @@ pub fn top_n_with(
     // `take` pushes, so the pass is O(N + K log K) for every `n`.
     const LANES: usize = 16;
     let cap = 2 * take;
-    let mut floor = 0;
+    let mut floor = starting_floor(scores, take + inside);
     let mut keys = [0u32; LANES];
     for gap in gaps(excluded, scores.len()) {
         for (c, chunk) in scores[gap.clone()].chunks(LANES).enumerate() {
@@ -206,6 +242,44 @@ pub fn top_n_with(
     }
     best.sort_unstable_by(ahead);
     best.iter().map(|e| e.index).collect()
+}
+
+/// A key that every member of the row's list reaches. `rank` is the list
+/// length `take` plus the number `e` of excluded indices inside the row.
+/// Rows of fewer than eight scores a group (`8 · FLOOR_GROUPS`) and a
+/// `rank` above `FLOOR_GROUPS` get 0, no bound.
+///
+/// Group `g` holds the indices `i ≡ g (mod FLOOR_GROUPS)`, excluded ones
+/// included, and the floor is the `rank`-th largest key among the group
+/// maxima. It is exact: at least `rank` groups hold an item whose key
+/// reaches it, at most `e` of those items are excluded, so at least `take`
+/// candidates reach it, and so does every list member. A group whose
+/// maximum is `-inf` may hold only NaN, whose key is 0, so its key is 0
+/// rather than `-inf`'s.
+#[inline(always)]
+fn starting_floor(scores: &[f32], rank: usize) -> u32 {
+    if scores.len() < 8 * FLOOR_GROUPS || rank > FLOOR_GROUPS {
+        return 0;
+    }
+    // A compare-select from `-inf`, which lowers to `maxps`: NaN never wins.
+    let mut maxima = [f32::NEG_INFINITY; FLOOR_GROUPS];
+    let (groups, tail) = scores.as_chunks::<FLOOR_GROUPS>();
+    for group in groups {
+        for (m, &s) in maxima.iter_mut().zip(group) {
+            *m = if s > *m { s } else { *m };
+        }
+    }
+    for (m, &s) in maxima.iter_mut().zip(tail) {
+        *m = if s > *m { s } else { *m };
+    }
+    let mut keys = maxima.map(|m| {
+        if m == f32::NEG_INFINITY {
+            0
+        } else {
+            order_key(m)
+        }
+    });
+    *keys.select_nth_unstable(FLOOR_GROUPS - rank).1
 }
 
 /// Selection order of two kept entries: higher key first, then the lower
@@ -364,6 +438,41 @@ mod tests {
                         reference_top_n(row, n, exclude),
                         "row {r}, n {n}, exclude {exclude:?}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_compiled_copies_select_the_same_lists() {
+        // Rows long enough for the starting floor, plus a short one; NaN,
+        // signed zeros, infinities and ties throughout.
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let specials = [nan, -0.0, 0.0, inf, -inf, -nan];
+        let mixed: Vec<f32> = (0..5_000)
+            .map(|i| {
+                if i % 61 == 0 {
+                    specials[i % 6]
+                } else {
+                    ((i * 7_919) % 211) as f32
+                }
+            })
+            .collect();
+        let rising: Vec<f32> = (0..1_024).map(|i| i as f32).collect();
+        let short: Vec<f32> = mixed[..300].to_vec();
+        let mut scratch = SelectionScratch::new();
+        for row in [&mixed, &rising, &short] {
+            for exclude in [&[][..], &[0, 61, 122, 4_999], &[900, 3, 3]] {
+                for n in [1, 20, 100, 125, 128, 129, 6_000] {
+                    let expected = reference_top_n(row, n, exclude);
+                    let baseline = top_n_impl(row, n, exclude, &mut scratch);
+                    assert_eq!(baseline, expected, "baseline, len {}, n {n}", row.len());
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: AVX2 support was just detected.
+                        let avx2 = unsafe { top_n_avx2(row, n, exclude, &mut scratch) };
+                        assert_eq!(avx2, expected, "avx2, len {}, n {n}", row.len());
+                    }
                 }
             }
         }

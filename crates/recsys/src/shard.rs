@@ -5,7 +5,8 @@
 //! roadmap targets. A [`ShardPlan`] bounds that: the scoring engine streams
 //! over contiguous user shards, running one parallel region per shard, so
 //! peak resident score memory is `O(min(shard, threads · SCORE_BLOCK_USERS)
-//! × items)` no matter how many users the model has.
+//! × items)` no matter how many users the model has: 1.25 MiB per worker at
+//! 16 users a block and 20 000 items.
 //!
 //! Sharding is **bitwise invisible**: each user's score row is computed by
 //! one [`ScoreBlock`](crate::ScoreBlock) whose GEMM walks the same absolute

@@ -257,7 +257,7 @@ fn zero_item_catalog_yields_empty_lists_without_panicking() {
 #[test]
 fn single_user_block_smaller_than_the_block_size() {
     // One user is the extreme ragged block: far below SCORE_BLOCK_USERS,
-    // so the engine must not assume a full 64-user panel anywhere.
+    // so the engine must not assume a full block anywhere.
     const { assert!(SCORE_BLOCK_USERS > 1) };
     let data = dataset(1, 12);
     let model = vbpr(1, 12, 21);

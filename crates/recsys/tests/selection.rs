@@ -236,3 +236,116 @@ fn par_top_n_all_never_lists_a_nan_item_while_finite_candidates_remain() {
         }
     }
 }
+
+/// Interleaved groups behind selection's starting floor (`FLOOR_GROUPS` in
+/// `recommend.rs`); rows of at least `8 · GROUPS` scores get one.
+const GROUPS: usize = 128;
+
+fn assert_top_n_matches_reference(scores: &[f32], n: usize, exclude: &[usize], what: &str) {
+    let mut scratch = SelectionScratch::new();
+    assert_eq!(
+        top_n_with(scores, n, exclude, &mut scratch),
+        reference_top_n(scores, n, exclude),
+        "{what}: len {}, n {n}, exclude {exclude:?}",
+        scores.len()
+    );
+}
+
+/// Scores in `[0, 1)` that neither rise nor fall with the index; they
+/// repeat every 4 099 items, so longer rows hold ties.
+fn mixed_row(len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i * 7_919) % 4_099) as f32 / 4_099.0)
+        .collect()
+}
+
+#[test]
+fn starting_floor_skips_excluded_items_that_hold_their_groups_maxima() {
+    // The `e` best scores sit in `e` distinct groups and are all excluded,
+    // so the `take`-th best group maximum belongs to an excluded item and
+    // only the `(take + e)`-th is a floor every candidate list reaches.
+    for len in [8 * GROUPS, 20_000] {
+        for e in [1usize, 3, 8, 40] {
+            let mut scores = mixed_row(len);
+            let exclude: Vec<usize> = (0..e).map(|k| k * 3 + 1).collect();
+            for (k, &i) in exclude.iter().enumerate() {
+                scores[i] = 100.0 + k as f32;
+            }
+            for n in [1, 2, e, e + 1, 50, GROUPS - e, GROUPS - e + 1] {
+                assert_top_n_matches_reference(&scores, n, &exclude, "excluded maxima");
+            }
+        }
+    }
+}
+
+#[test]
+fn starting_floor_holds_at_the_group_count_boundary() {
+    // `take + e` of exactly `GROUPS` (the floor is the smallest group
+    // maximum) and one more (no floor), with 0 and 3 exclusions inside the
+    // row and one beyond it, on a rising row, where every group maximum
+    // lies in the last `GROUPS` scores, and on a mixed one.
+    let rising: Vec<f32> = (0..8 * GROUPS + 77).map(|i| i as f32).collect();
+    let mixed = mixed_row(3_000);
+    for scores in [&rising, &mixed] {
+        for exclude in [&[][..], &[5, 900, 1_000, 9_999]] {
+            let e = exclude.iter().filter(|&&i| i < scores.len()).count();
+            for n in [GROUPS - e - 1, GROUPS - e, GROUPS - e + 1] {
+                assert_top_n_matches_reference(scores, n, exclude, "group count boundary");
+            }
+        }
+    }
+}
+
+#[test]
+fn starting_floor_holds_at_the_shortest_row_that_gets_one() {
+    for len in [8 * GROUPS - 1, 8 * GROUPS] {
+        let mut scores = mixed_row(len);
+        // Group maxima in the last partial stride too.
+        scores[len - 1] = 7.0;
+        scores[len - 2] = 6.0;
+        for exclude in [&[][..], &[0, len - 1], &[len - 2, 3, len - 1]] {
+            for n in [1, 2, 10, 100, GROUPS - 3, GROUPS, len] {
+                assert_top_n_matches_reference(&scores, n, exclude, "shortest rows");
+            }
+        }
+    }
+}
+
+#[test]
+fn starting_floor_gives_a_group_of_nan_and_neg_inf_the_nan_key() {
+    // One number, one group of `-inf` and every other score NaN: groups
+    // whose maximum stays `-inf` hold only NaN or `-inf`, and a list that
+    // runs past the `-inf` items must go on to the NaN ones.
+    let len = 8 * GROUPS;
+    let mut scores = vec![f32::NAN; len];
+    scores[5] = 1.0;
+    for i in (7..len).step_by(GROUPS) {
+        scores[i] = f32::NEG_INFINITY;
+    }
+    scores[GROUPS + 9] = -f32::NAN;
+    for exclude in [&[][..], &[0, 7]] {
+        for n in [1, 2, 9, 10, 12, 40] {
+            assert_top_n_matches_reference(&scores, n, exclude, "NaN and -inf groups");
+        }
+    }
+    // A row of NaN alone ranks by index.
+    let nan_row = vec![f32::NAN; len];
+    assert_eq!(top_n_indices(&nan_row, 3, &[1]), vec![0, 2, 3]);
+}
+
+#[test]
+fn starting_floor_keeps_rising_falling_and_flat_rows_exact() {
+    for len in [8 * GROUPS, 5_000] {
+        let rising: Vec<f32> = (0..len).map(|i| i as f32).collect();
+        let falling: Vec<f32> = (0..len).map(|i| -(i as f32)).collect();
+        // All equal: ties go to the lower index, excluded ones skipped.
+        let flat = vec![0.25f32; len];
+        for (what, scores) in [("rising", &rising), ("falling", &falling), ("flat", &flat)] {
+            for exclude in [&[][..], &[0, 1, 2, len - 1], &[GROUPS, 2 * GROUPS, 64]] {
+                for n in [1, 16, 100, GROUPS - 4, GROUPS] {
+                    assert_top_n_matches_reference(scores, n, exclude, what);
+                }
+            }
+        }
+    }
+}

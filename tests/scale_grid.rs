@@ -49,10 +49,11 @@ fn families(users: usize, items: usize, seed: u64) -> Vec<(&'static str, Box<dyn
 }
 
 /// Shard heights that stress the ragged edges: single-user shards, primes
-/// that misalign with `SCORE_BLOCK_USERS`, and a shard taller than the
-/// whole user set (one-shot streaming).
+/// that misalign with `SCORE_BLOCK_USERS`, heights one below and one above
+/// it, and a shard taller than the whole user set (one-shot streaming, up
+/// to three score blocks for the users drawn below).
 fn ragged_shards(users: usize) -> Vec<usize> {
-    vec![1, 7, 13, users.max(1), users + 3]
+    vec![1, 7, 13, 15, 17, users.max(1), users + 3]
 }
 
 proptest! {
